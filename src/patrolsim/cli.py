@@ -50,7 +50,10 @@ def _load_config(args) -> ScenarioConfig:
 
 
 def _floats(raw: str):
-    return [float(v) for v in raw.split(",") if v.strip()]
+    try:
+        return [float(v) for v in raw.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigurationError(f"expected comma-separated numbers, got {raw!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,13 +31,12 @@ def truncate_knowledge(assumed: np.ndarray, utime: np.ndarray, s: int):
     (grid indices, idleness values, update times) copies safe to ship.
     """
     idx = kernels.top_s(utime, int(s))
-    return idx.copy(), assumed[idx].copy(), utime[idx].copy()
+    return idx.copy(), assumed[idx], utime[idx]
 
 
 @dataclass
 class MessageEnvelope:
     sender: int    # 1-based robot id
-    sent_at: int
     slice_grids: np.ndarray
     slice_idleness: np.ndarray
     slice_utimes: np.ndarray

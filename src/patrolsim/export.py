@@ -20,6 +20,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .errors import VerificationError
+from .metrics import normalize_active
 from .scenario import ScenarioConfig, TrialResult
 from .world import VisitEvent
 
@@ -91,8 +92,8 @@ def write_run_artifacts(result: TrialResult, out_dir) -> List[Path]:
                 _fmt(float(s["d_msa"][j])),
                 _fmt(int(s["d_wsa"][j])),
                 _fmt(n_active),
-                _fmt(float(s["i_g"][j]) * n_active / cfg.K),
-                _fmt(float(s["d_msa"][j]) * n_active / cfg.K),
+                _fmt(normalize_active(float(s["i_g"][j]), n_active, cfg.K)),
+                _fmt(normalize_active(float(s["d_msa"][j]), n_active, cfg.K)),
             ])
     written.append(path)
 
@@ -127,10 +128,15 @@ def _read_matrix(path: Path) -> np.ndarray:
 
 def read_events(path) -> List[VisitEvent]:
     events = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        t, robot, grid = (int(v) for v in line.split(","))
+        try:
+            t, robot, grid = (int(v) for v in line.split(","))
+        except ValueError as exc:
+            raise VerificationError(
+                f"{path}:{lineno}: expected 'time,robot,grid' integers, got {line!r}"
+            ) from exc
         events.append(VisitEvent(robot, grid, t))
     return events
 
@@ -142,12 +148,22 @@ def replay_events(
 
     Replays the idleness recursion directly: increment every grid each step,
     reset visited grids, sample after resets, accumulate from warmup_t0.
+    An event that the mission cannot have produced raises VerificationError:
+    a time outside 1..mission_steps, a robot outside 2..n_robots (the BS never
+    patrols) or a grid outside the map.
     """
     K = config.K
     idleness = np.zeros(K, dtype=np.int64)
     counts = np.zeros((config.n_robots, K), dtype=np.int64)
     by_time: Dict[int, List[VisitEvent]] = {}
     for ev in events:
+        if not (1 <= ev.time <= config.mission_steps
+                and 2 <= ev.robot_id <= config.n_robots and 0 <= ev.grid < K):
+            raise VerificationError(
+                f"event {ev.time},{ev.robot_id},{ev.grid}: time must be in "
+                f"1..{config.mission_steps}, robot in 2..{config.n_robots} "
+                f"and grid in 0..{K - 1}"
+            )
         by_time.setdefault(ev.time, []).append(ev)
     sum_ig = 0.0
     max_iw = 0
@@ -177,6 +193,10 @@ def verify_artifacts(events_path, config: ScenarioConfig, artifact_dir=None) -> 
     """
     events_path = Path(events_path)
     out = Path(artifact_dir) if artifact_dir is not None else events_path.parent
+    heatmaps = [out / f"heatmap_robot_{i}.csv" for i in range(2, config.n_robots + 1)]
+    for path in (events_path, out / "metrics.csv", out / "heatmap_total.csv", *heatmaps):
+        if not path.is_file():
+            raise VerificationError(f"missing artifact {path}")
     events = read_events(events_path)
     i_g, i_w, counts = replay_events(events, config)
 
@@ -196,8 +216,7 @@ def verify_artifacts(events_path, config: ScenarioConfig, artifact_dir=None) -> 
         mismatches.append(f"norm_I_G: recorded {row['norm_I_G']}, replay {i_g * norm!r}")
 
     shape = (config.height_grids, config.width_grids)
-    for robot_id in range(2, config.n_robots + 1):
-        path = out / f"heatmap_robot_{robot_id}.csv"
+    for robot_id, path in enumerate(heatmaps, start=2):
         recorded = _read_matrix(path)
         if not np.array_equal(recorded, counts[robot_id - 1].reshape(shape)):
             mismatches.append(f"{path.name}: does not match event replay")

@@ -1,41 +1,23 @@
-"""Hot numeric kernels with optional numba acceleration.
+"""The four numeric kernels of the step loop, written as numpy array code.
 
-Every kernel has a pure-numpy implementation. When numba is importable and
-the environment variable ``PATROLSIM_NO_NUMBA`` is unset (or falsy), the
-loop-based variants are compiled with ``@njit`` and exported instead. Both
-paths produce bit-identical results; ``benchmarks/bench_kernels.py`` compares
-their throughput.
+Callers reach them through the module attribute (``kernels.top_s(...)``),
+never by from-import, so a profiler can wrap each one in place. Float results
+use numpy's ufuncs (``np.exp``, ``np.ceil``); on some builds these differ
+from the ``math`` module in the last ulp, so golden digests are exact per
+numpy build and CPU.
 """
-
-import math
-import os
 
 import numpy as np
 
-_DISABLE = os.environ.get("PATROLSIM_NO_NUMBA", "").lower() in ("1", "true", "yes")
 
-if not _DISABLE:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-def _completions_numpy(positions, centers, rho):
+def completions(positions, centers, rho):
     """(robot_row, grid) index pairs with Euclidean distance <= rho."""
     d2 = ((positions[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     rows, grids = np.nonzero(d2 <= rho * rho)
     return rows.astype(np.int64), grids.astype(np.int64)
 
 
-def _merge_slice_numpy(assumed, utime, grids, ivals, tvals):
+def merge_slice(assumed, utime, grids, ivals, tvals):
     """Adopt received entries whose update time is strictly newer (in place)."""
     newer = tvals > utime[grids]
     g = grids[newer]
@@ -43,7 +25,7 @@ def _merge_slice_numpy(assumed, utime, grids, ivals, tvals):
     utime[g] = tvals[newer]
 
 
-def _top_s_numpy(utime, s):
+def top_s(utime, s):
     """Indices of the s most recently updated entries, ties to smaller index."""
     k = utime.shape[0]
     key = utime * k + (k - 1 - np.arange(k, dtype=np.int64))
@@ -51,7 +33,7 @@ def _top_s_numpy(utime, s):
     return order[: min(s, k)]
 
 
-def _utilities_numpy(assumed, dists, cheb, p, p_max, sigma, v_max, use_alpha):
+def utilities(assumed, dists, cheb, p, p_max, sigma, v_max, use_alpha):
     """Per-candidate utility alpha * (i + delta) / delta with delta >= 1."""
     delta = np.ceil(dists / v_max)
     np.maximum(delta, 1.0, out=delta)
@@ -60,73 +42,3 @@ def _utilities_numpy(assumed, dists, cheb, p, p_max, sigma, v_max, use_alpha):
         d = cheb - (p_max - p)
         u = u * np.exp(-(d * d) / (2.0 * sigma * sigma))
     return u
-
-
-# ---------------------------------------------------------------------------
-# loop implementations (numba targets)
-
-def _completions_loop(positions, centers, rho):
-    n = positions.shape[0]
-    k = centers.shape[0]
-    r2 = rho * rho
-    rows = np.empty(n * k, dtype=np.int64)
-    grids = np.empty(n * k, dtype=np.int64)
-    m = 0
-    for i in range(n):
-        px = positions[i, 0]
-        py = positions[i, 1]
-        for j in range(k):
-            dx = px - centers[j, 0]
-            dy = py - centers[j, 1]
-            if dx * dx + dy * dy <= r2:
-                rows[m] = i
-                grids[m] = j
-                m += 1
-    return rows[:m].copy(), grids[:m].copy()
-
-
-def _merge_slice_loop(assumed, utime, grids, ivals, tvals):
-    for j in range(grids.shape[0]):
-        g = grids[j]
-        if tvals[j] > utime[g]:
-            assumed[g] = ivals[j]
-            utime[g] = tvals[j]
-
-
-def _top_s_loop(utime, s):
-    k = utime.shape[0]
-    key = np.empty(k, dtype=np.int64)
-    for i in range(k):
-        key[i] = -(utime[i] * k + (k - 1 - i))
-    order = np.argsort(key, kind="mergesort")
-    if s < k:
-        return order[:s].copy()
-    return order
-
-
-def _utilities_loop(assumed, dists, cheb, p, p_max, sigma, v_max, use_alpha):
-    n = assumed.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    inv2s2 = 1.0 / (2.0 * sigma * sigma)
-    for j in range(n):
-        delta = math.ceil(dists[j] / v_max)
-        if delta < 1.0:
-            delta = 1.0
-        u = (assumed[j] + delta) / delta
-        if use_alpha:
-            d = cheb[j] - (p_max - p)
-            u *= math.exp(-(d * d) * inv2s2)
-        out[j] = u
-    return out
-
-
-if NUMBA_ENABLED:
-    completions = njit(cache=True)(_completions_loop)
-    merge_slice = njit(cache=True)(_merge_slice_loop)
-    top_s = njit(cache=True)(_top_s_loop)
-    utilities = njit(cache=True)(_utilities_loop)
-else:
-    completions = _completions_numpy
-    merge_slice = _merge_slice_numpy
-    top_s = _top_s_numpy
-    utilities = _utilities_numpy

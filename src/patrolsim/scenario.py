@@ -75,6 +75,10 @@ class ScenarioConfig:
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
 
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if self.n_robots < 2:
             raise ConfigurationError(f"n_robots must be >= 2, got {self.n_robots}")
         if self.width_grids < 1 or self.height_grids < 1:
@@ -107,6 +111,11 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     "failure schedule requires 0 < fail_at < recover_at <= mission_steps"
                 )
+        if self.warmup_t0 > self.mission_steps:
+            raise ConfigurationError(
+                f"warm-up warmup_t0={self.warmup_t0} exceeds mission_steps="
+                f"{self.mission_steps}: no step would be sampled"
+            )
         return self
 
 
@@ -188,13 +197,12 @@ class Simulation:
         self.p = np.zeros(n, dtype=np.float64)
         self.omega = np.zeros(n, dtype=np.int64)
         self.alive = np.ones(n, dtype=bool)
-        self.target = np.full(n, -1, dtype=np.int64)
         self.temp = np.full(n, -1, dtype=np.int64)
         self.need_select = np.zeros(n, dtype=bool)
         self.fail_rows = scheduled_failures(config)
 
         for i in range(1, n):
-            self._select_target(i, now=0)
+            self._select_target(i)
 
         self.prev_graph = compute_connectivity(self.pos, self.alive, config.d_c)
         self.outbox: Dict[int, MessageEnvelope] = {}
@@ -202,21 +210,20 @@ class Simulation:
         self.events: List[VisitEvent] = []
         self.dropped_envelopes = 0
 
-    def _select_target(self, i: int, now: int) -> None:
+    def _select_target(self, i: int) -> None:
         cfg = self.config
         cur = self.grid_map.cell_of(self.pos[i])
         if cfg.strategy == strategy.LR_PT:
             sel = strategy.select_patrol_target(
-                self.pos[i], cur, self.assumed[i], self.p[i], now, self.grid_map,
+                self.pos[i], cur, self.assumed[i], self.p[i], self.grid_map,
                 cfg.delta, cfg.v_max, cfg.p_max, cfg.sigma,
             )
         elif cfg.strategy == strategy.EXPECTED_REACTIVE:
             sel = strategy.er_select(
-                self.pos[i], cur, self.assumed[i], now, self.grid_map, cfg.v_max
+                self.pos[i], cur, self.assumed[i], self.grid_map, cfg.v_max
             )
         else:
-            sel = strategy.random_select(cur, now, self.grid_map, self.rng)
-        self.target[i] = sel.target_grid
+            sel = strategy.random_select(cur, self.grid_map, self.rng)
         self.temp[i] = sel.temporary_grid
 
     def _apply_failure_schedule(self, t: int) -> None:
@@ -301,7 +308,7 @@ class Simulation:
                 completed.add(i)
         for i in rows:
             if i in completed or self.need_select[i]:
-                self._select_target(i, now=t)
+                self._select_target(i)
                 self.need_select[i] = False
 
         # phase 6: connectivity at t and broadcast
@@ -314,7 +321,6 @@ class Simulation:
                 )
                 outbox[i] = MessageEnvelope(
                     sender=i + 1,
-                    sent_at=t,
                     slice_grids=grids,
                     slice_idleness=ivals,
                     slice_utimes=tvals,

@@ -27,7 +27,6 @@ STRATEGIES = (LR_PT, EXPECTED_REACTIVE, RANDOM_WALK)
 class TargetSelection:
     target_grid: int
     temporary_grid: int
-    chosen_at: int
 
 
 def candidate_grids(position, delta: float, grid_map: GridMap) -> np.ndarray:
@@ -80,7 +79,6 @@ def select_patrol_target(
     current_grid: int,
     assumed: np.ndarray,
     p: float,
-    now: int,
     grid_map: GridMap,
     delta: float,
     v_max: float,
@@ -91,14 +89,13 @@ def select_patrol_target(
     cand = candidate_grids(position, delta, grid_map)
     util = _evaluate(position, cand, assumed, p, p_max, sigma, v_max, grid_map, True)
     target = int(cand[int(np.argmax(util))])
-    return TargetSelection(target, temporary_target(current_grid, target, grid_map), now)
+    return TargetSelection(target, temporary_target(current_grid, target, grid_map))
 
 
 def er_select(
     position,
     current_grid: int,
     assumed: np.ndarray,
-    now: int,
     grid_map: GridMap,
     v_max: float,
 ) -> TargetSelection:
@@ -106,14 +103,14 @@ def er_select(
     cand = np.arange(grid_map.K, dtype=np.int64)
     util = _evaluate(position, cand, assumed, 0.0, 0.0, 1.0, v_max, grid_map, False)
     target = int(np.argmax(util))
-    return TargetSelection(target, temporary_target(current_grid, target, grid_map), now)
+    return TargetSelection(target, temporary_target(current_grid, target, grid_map))
 
 
-def random_select(current_grid: int, now: int, grid_map: GridMap, rng) -> TargetSelection:
+def random_select(current_grid: int, grid_map: GridMap, rng) -> TargetSelection:
     """Sanity baseline: a uniformly random adjacent grid."""
     neigh = grid_map.neighbors8(current_grid)
     target = int(neigh[rng.integers(len(neigh))])
-    return TargetSelection(target, target, now)
+    return TargetSelection(target, target)
 
 
 def temporary_target(current_grid: int, target_grid: int, grid_map: GridMap) -> int:

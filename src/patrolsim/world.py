@@ -106,9 +106,7 @@ def detect_patrol_completions(
     events: List[VisitEvent] = []
     if len(positions) == 0:
         return events
-    rows, grids = kernels.completions(
-        np.ascontiguousarray(positions, dtype=np.float64), grid_map.centers, rho
-    )
+    rows, grids = kernels.completions(positions, grid_map.centers, rho)
     for r, g in zip(rows, grids):
         events.append(VisitEvent(int(robot_ids[r]), int(g), world.t))
     if len(grids):

@@ -206,7 +206,7 @@ def test_05_selection_matches_brute_force(gmap20):
         pos = rng.uniform(0, 600, 2)
         assumed = rng.integers(0, 5000, gmap20.K)
         p = float(rng.uniform(0, p_max * 1.4))
-        sel = select_patrol_target(pos, gmap20.cell_of(pos), assumed, p, 0,
+        sel = select_patrol_target(pos, gmap20.cell_of(pos), assumed, p,
                                    gmap20, delta, v_max, p_max, sigma)
         best, best_u = -1, -1.0
         for k in candidate_grids(pos, delta, gmap20):

@@ -10,10 +10,9 @@ from patrolsim.comms import (
 )
 
 
-def _env(sender, sent_at=0):
+def _env(sender):
     return MessageEnvelope(
         sender=sender,
-        sent_at=sent_at,
         slice_grids=np.array([0], dtype=np.int64),
         slice_idleness=np.array([0], dtype=np.int64),
         slice_utimes=np.array([0], dtype=np.int64),
@@ -84,9 +83,8 @@ class TestDeliver:
         # r_2 (row 1) and r_7 (row 2) were neighbors at t-1
         graph = np.zeros((3, 3), dtype=bool)
         graph[1, 2] = graph[2, 1] = True
-        inboxes = deliver({1: _env(2, sent_at=9), 2: _env(7, sent_at=9)}, graph)
+        inboxes = deliver({1: _env(2), 2: _env(7)}, graph)
         assert [e.sender for e in inboxes[2]] == [2]
-        assert inboxes[2][0].sent_at == 9
 
     def test_no_neighbors_empty_inbox(self):
         graph = np.zeros((2, 2), dtype=bool)

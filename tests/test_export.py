@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from patrolsim.cli import main
+from patrolsim.errors import VerificationError
 from patrolsim.export import (
     read_events,
     replay_events,
@@ -33,6 +34,24 @@ def trial(tmp_path_factory):
     out = tmp_path_factory.mktemp("artifacts")
     write_run_artifacts(result, out)
     return result, out
+
+
+def _copy_trial(trial, dst):
+    """Copy the fixture's artifacts to dst; returns the copied events.log."""
+    for p in trial[1].iterdir():
+        (dst / p.name).write_bytes(p.read_bytes())
+    return dst / "events.log"
+
+
+def _cli_verify(events, tmp_path) -> int:
+    """`patrolsim verify` on events with a config file that matches CFG."""
+    cfg_path = tmp_path / "mission.cfg"
+    cfg_path.write_text(
+        "n_robots = 4\nwidth_grids = 8\nheight_grids = 8\n"
+        "mission_steps = 500\nwarmup_t0 = 100\nd_c = 120\ndelta = 120\n"
+        "eta = 0.5\np_max = 200\nsigma = 150\nbandwidth_s = 64\n"
+    )
+    return main(["verify", str(events), "--config", str(cfg_path)])
 
 
 class TestArtifacts:
@@ -136,6 +155,39 @@ class TestCli:
         lines = events.read_text().splitlines()
         events.write_text("\n".join(lines[:-3]) + "\n")
         assert main(["verify", str(events), "--config", str(cfg_path)]) == 3
+
+    def test_sweep_bad_list_exit_2(self, capsys):
+        argv = ["sweep", "--eta-list", "x", "--pm-list", "200", "--sigma-list", "150"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("row, match", [
+        ("5,2,99999", "grid in 0..63"),
+        ("5,9,3", "robot in 2..4"),
+        ("501,2,3", "time must be in 1..500"),
+        ("5,2", "expected 'time,robot,grid'"),
+        ("5,2,x", "expected 'time,robot,grid'"),
+    ])
+    def test_verify_malformed_event_exit_3(self, trial, tmp_path, capsys, row, match):
+        events = _copy_trial(trial, tmp_path)
+        with open(events, "a") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(VerificationError, match=match):
+            verify_artifacts(events, CFG)
+        assert _cli_verify(events, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["events.log", "metrics.csv", "heatmap_robot_3.csv"])
+    def test_verify_missing_artifact_exit_3(self, trial, tmp_path, capsys, name):
+        events = _copy_trial(trial, tmp_path)
+        (tmp_path / name).unlink()
+        with pytest.raises(VerificationError, match=f"missing artifact .*{name}"):
+            verify_artifacts(events, CFG)
+        assert _cli_verify(events, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: missing artifact") and err.count("\n") == 1
 
     def test_batch_metrics_rows(self, tmp_path):
         cfg_path = tmp_path / "mission.cfg"

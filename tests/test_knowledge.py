@@ -7,7 +7,6 @@ from patrolsim.knowledge import merge_received, new_base, record_patrol, tick_as
 def _env(sender, grids, ivals, tvals, **kw):
     return MessageEnvelope(
         sender=sender,
-        sent_at=0,
         slice_grids=np.asarray(grids, dtype=np.int64),
         slice_idleness=np.asarray(ivals, dtype=np.int64),
         slice_utimes=np.asarray(tvals, dtype=np.int64),

@@ -63,6 +63,17 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="delta"):
             ScenarioConfig(delta=200.0, d_c=180.0).validate()
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("rho", math.nan, "rho must be finite"),
+        ("sigma", math.nan, "sigma must be finite"),
+        ("v_max", math.inf, "v_max must be finite"),
+        ("warmup_t0", 601, "warm-up"),
+    ])
+    def test_invalid_value_rejected_before_any_step(self, field, value, match):
+        cfg = replace(SMALL, **{field: value})
+        with pytest.raises(ConfigurationError, match=match):
+            Simulation(cfg, 1)
+
     def test_failure_schedule_consistency(self):
         with pytest.raises(ConfigurationError):
             ScenarioConfig(fail_fraction=0.2, fail_at=100, recover_at=50,
@@ -91,7 +102,7 @@ class TestInitMission:
         a, b = Simulation(SMALL, 11), Simulation(SMALL, 11)
         assert np.array_equal(a.pos, b.pos)
         assert np.array_equal(a.heading, b.heading)
-        assert np.array_equal(a.target, b.target)
+        assert np.array_equal(a.temp, b.temp)
 
     def test_minimal_swarm(self):
         cfg = replace(SMALL, n_robots=2, mission_steps=150, warmup_t0=50)
@@ -100,7 +111,6 @@ class TestInitMission:
 
     def test_initial_targets_selected(self):
         sim = Simulation(SMALL, 2)
-        assert (sim.target[1:] >= 0).all()
         assert (sim.temp[1:] >= 0).all()
 
 
