@@ -12,7 +12,6 @@ from .errors import (
     ConfigurationError,
     MetricsError,
     PatrolSimError,
-    ProtocolError,
     VerificationError,
 )
 from .scenario import (
@@ -29,7 +28,6 @@ __all__ = [
     "ConfigurationError",
     "MetricsError",
     "PatrolSimError",
-    "ProtocolError",
     "VerificationError",
     "ScenarioConfig",
     "Simulation",

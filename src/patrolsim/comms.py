@@ -1,12 +1,13 @@
 """Range-limited connectivity and one-step-latency message delivery.
 
 A message enqueued at timestep t-1 reaches the sender's t-1 neighbors at
-timestep t. Each envelope carries the sender's top-s knowledge slice and,
-for patrollers, the (report priority, last BS contact) pair.
+timestep t. Each envelope carries the sender's top-s knowledge slice and
+nothing else: report priorities are read from the swarm arrays (see
+`priority`).
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -40,9 +41,6 @@ class MessageEnvelope:
     slice_grids: np.ndarray
     slice_idleness: np.ndarray
     slice_utimes: np.ndarray
-    priority: Optional[float]   # None for the base station
-    bs_contact: Optional[int]   # None for the base station
-    from_bs: bool = False
 
 
 def deliver(envelopes: Dict[int, MessageEnvelope], graph_prev: np.ndarray) -> List[List[MessageEnvelope]]:

@@ -9,10 +9,6 @@ class ConfigurationError(PatrolSimError):
     """Invalid configuration value, unknown key, or inconsistent settings."""
 
 
-class ProtocolError(PatrolSimError):
-    """Malformed message content (e.g. a knowledge entry with a bad grid index)."""
-
-
 class MetricsError(PatrolSimError):
     """Metrics cannot be finalized (e.g. mission shorter than the warm-up)."""
 

@@ -122,8 +122,12 @@ def _write_matrix(matrix: np.ndarray, path: Path) -> None:
 
 
 def _read_matrix(path: Path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        return np.array([[int(v) for v in row] for row in csv.reader(fh)], dtype=np.int64)
+    try:
+        with open(path, newline="") as fh:
+            return np.array([[int(v) for v in row] for row in csv.reader(fh)],
+                            dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise VerificationError(f"{path}: expected a rectangular matrix of integers") from exc
 
 
 def read_events(path) -> List[VisitEvent]:
@@ -189,7 +193,8 @@ def _close(a: float, b: float, rel: float = 1e-9) -> bool:
 def verify_artifacts(events_path, config: ScenarioConfig, artifact_dir=None) -> List[str]:
     """Replay events.log and check metrics.csv and the heatmaps against it.
 
-    Returns a list of mismatch descriptions; empty means verified.
+    Returns a list of mismatch descriptions; empty means verified. A file
+    that cannot be read as the artifact it names raises VerificationError.
     """
     events_path = Path(events_path)
     out = Path(artifact_dir) if artifact_dir is not None else events_path.parent
@@ -207,12 +212,19 @@ def verify_artifacts(events_path, config: ScenarioConfig, artifact_dir=None) -> 
         mismatches.append(f"metrics.csv: expected 1 row, found {len(rows)}")
         return mismatches
     row = rows[0]
-    if not _close(float(row["I_G"]), i_g):
+    try:
+        recorded_ig, recorded_iw = float(row["I_G"]), int(row["I_W"])
+        recorded_norm = float(row["norm_I_G"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise VerificationError(
+            f"{out / 'metrics.csv'}: expected numeric I_G, I_W and norm_I_G columns"
+        ) from exc
+    if not _close(recorded_ig, i_g):
         mismatches.append(f"I_G: recorded {row['I_G']}, replay {i_g!r}")
-    if int(row["I_W"]) != i_w:
+    if recorded_iw != i_w:
         mismatches.append(f"I_W: recorded {row['I_W']}, replay {i_w}")
     norm = (config.n_robots - 1) / config.K
-    if not _close(float(row["norm_I_G"]), i_g * norm):
+    if not _close(recorded_norm, i_g * norm):
         mismatches.append(f"norm_I_G: recorded {row['norm_I_G']}, replay {i_g * norm!r}")
 
     shape = (config.height_grids, config.width_grids)

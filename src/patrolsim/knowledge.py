@@ -1,29 +1,19 @@
-"""Per-robot assumed-idleness bases: aging, own-patrol recording, and merges.
+"""Per-robot assumed-idleness bases: own-patrol recording and merges.
 
 A base is a pair of K-length int64 arrays (assumed idleness, update time),
-so its footprint is 2K scalars regardless of swarm size. Received entries
+so its footprint is 2K scalars regardless of swarm size; the scenario ages
+every operational base with one array add per step. Received entries
 win only on a strictly newer update time and are adopted verbatim: an entry
 that traveled h hops is exactly h ticks behind ground truth, which is a
 documented property of the gossip scheme, not something to correct.
 """
 
-from typing import Iterable, Tuple
+from typing import Iterable
 
 import numpy as np
 
 from . import kernels
 from .comms import MessageEnvelope
-
-
-def new_base(K: int) -> Tuple[np.ndarray, np.ndarray]:
-    """All entries (0, 0): nothing visited, nothing heard."""
-    return np.zeros(K, dtype=np.int64), np.zeros(K, dtype=np.int64)
-
-
-def tick_assumptions(assumed: np.ndarray) -> np.ndarray:
-    """Age every assumed idleness by one step; update times stay put."""
-    assumed += 1
-    return assumed
 
 
 def record_patrol(assumed: np.ndarray, utime: np.ndarray, grid: int, now: int) -> None:
@@ -36,18 +26,16 @@ def merge_received(
     utime: np.ndarray,
     inbox: Iterable[MessageEnvelope],
     K: int,
-) -> int:
-    """Fold received slices into the base; returns the dropped-envelope count.
+) -> None:
+    """Fold received slices into the base.
 
     Envelopes are processed in inbox order (ascending sender id); a strictly
-    newer update time replaces the local entry verbatim. An envelope carrying
-    any out-of-range grid index is dropped whole.
+    newer update time replaces the local entry verbatim. Slices are cut from
+    K-long bases by `comms.truncate_knowledge`, so every grid index is in
+    range; K is not read, and stays a positional parameter because
+    `perfbench/spans.py` hooks this call by its four arguments.
     """
-    dropped = 0
     for env in inbox:
-        g = env.slice_grids
-        if g.size and (g.min() < 0 or g.max() >= K):
-            dropped += 1
-            continue
-        kernels.merge_slice(assumed, utime, g, env.slice_idleness, env.slice_utimes)
-    return dropped
+        kernels.merge_slice(
+            assumed, utime, env.slice_grids, env.slice_idleness, env.slice_utimes
+        )

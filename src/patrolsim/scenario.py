@@ -3,12 +3,14 @@
 Fixed phase order per timestep t:
   1. advance the clock and ground-truth idleness; age operational bases
   2. deliver envelopes enqueued at t-1 (recipients fixed by the t-1 graph)
-  3. operational robots merge received knowledge; patrollers update priority
+  3. operational robots merge received knowledge; operational patrollers
+     update their report priority from the t-1 priorities of the robots
+     they heard at t-1
   4. operational patrollers take one kinematic step toward the temporary grid
   5. detect patrol completions, reset idleness, record own-patrol entries,
      and re-select targets for robots whose temporary grid completed
-  6. compute the connectivity graph at t and enqueue envelopes for delivery
-     at t+1 (top-s knowledge slice plus, for patrollers, the priority pair)
+  6. compute the connectivity graph at t and enqueue each connected robot's
+     top-s knowledge slice for delivery at t+1
   7. sample instantaneous metrics
 
 All mutation is single-threaded within a trial; trials in a batch are
@@ -30,7 +32,7 @@ from . import knowledge, metrics, strategy
 from .comms import MessageEnvelope, compute_connectivity, deliver, truncate_knowledge
 from .errors import ConfigurationError
 from .motion import KinematicLimits, holonomic_step, step_toward
-from .priority import PriorityState, update_report_priority
+from .priority import update_report_priority
 from .world import (
     VisitEvent,
     advance_time,
@@ -142,9 +144,17 @@ def _parse_value(key: str, raw: str):
 
 
 def parse_config(path) -> ScenarioConfig:
-    """Load a flat `key = value` config file; '#' starts a comment."""
+    """Load a flat `key = value` config file; '#' starts a comment.
+
+    Keys and value types are checked here; the value ranges are not, so that
+    overrides can still fix them. Call `validate()` on the final config.
+    """
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from exc
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -154,7 +164,7 @@ def parse_config(path) -> ScenarioConfig:
         if key not in _FIELD_TYPES:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = _parse_value(key, raw)
-    return ScenarioConfig(**values).validate()
+    return ScenarioConfig(**values)
 
 
 def scheduled_failures(config: ScenarioConfig) -> List[int]:
@@ -205,10 +215,10 @@ class Simulation:
             self._select_target(i)
 
         self.prev_graph = compute_connectivity(self.pos, self.alive, config.d_c)
+        self.sent = np.zeros(n, dtype=bool)  # rows that broadcast at t-1
         self.outbox: Dict[int, MessageEnvelope] = {}
         self.metrics = metrics.MetricsAccumulator(K, n, config.warmup_t0, record_series)
         self.events: List[VisitEvent] = []
-        self.dropped_envelopes = 0
 
     def _select_target(self, i: int) -> None:
         cfg = self.config
@@ -257,28 +267,13 @@ class Simulation:
         for i in range(n):
             if not self.alive[i] or not inboxes[i]:
                 continue
-            self.dropped_envelopes += knowledge.merge_received(
-                self.assumed[i], self.utime[i], inboxes[i], K
-            )
-        for i in range(1, n):
-            if not self.alive[i]:
-                continue
-            payloads = [
-                (env.sender, env.from_bs,
-                 0.0 if env.priority is None else env.priority,
-                 0 if env.bs_contact is None else env.bs_contact)
-                for env in inboxes[i]
-            ]
-            state = update_report_priority(
-                PriorityState(self.p[i], int(self.omega[i])),
-                payloads,
-                connected_to_bs=bool(self.prev_graph[i, 0]),
-                now=t,
-                p_max=cfg.p_max,
-                eta=cfg.eta,
-            )
-            self.p[i] = state.p
-            self.omega[i] = state.bs_contact
+            knowledge.merge_received(self.assumed[i], self.utime[i], inboxes[i], K)
+        patrolling = self.alive.copy()
+        patrolling[0] = False
+        self.p, self.omega = update_report_priority(
+            self.p, self.omega, self.prev_graph & self.sent[:, None], patrolling,
+            self.prev_graph[:, 0], t, cfg.p_max, cfg.eta,
+        )
 
         # phase 4: motion
         mover = holonomic_step if cfg.holonomic else step_toward
@@ -313,21 +308,13 @@ class Simulation:
 
         # phase 6: connectivity at t and broadcast
         graph = compute_connectivity(self.pos, self.alive, cfg.d_c)
+        self.sent = graph.any(axis=1)  # the graph only links operational robots
         outbox: Dict[int, MessageEnvelope] = {}
-        for i in range(n):
-            if self.alive[i] and graph[i].any():
-                grids, ivals, tvals = truncate_knowledge(
-                    self.assumed[i], self.utime[i], cfg.bandwidth_s
-                )
-                outbox[i] = MessageEnvelope(
-                    sender=i + 1,
-                    slice_grids=grids,
-                    slice_idleness=ivals,
-                    slice_utimes=tvals,
-                    priority=None if i == 0 else float(self.p[i]),
-                    bs_contact=None if i == 0 else int(self.omega[i]),
-                    from_bs=(i == 0),
-                )
+        for i in np.flatnonzero(self.sent):
+            grids, ivals, tvals = truncate_knowledge(
+                self.assumed[i], self.utime[i], cfg.bandwidth_s
+            )
+            outbox[i] = MessageEnvelope(i + 1, grids, ivals, tvals)
         self.outbox = outbox
         self.prev_graph = graph
 
@@ -362,7 +349,6 @@ class Simulation:
             visit_counts=self.metrics.visit_counts.copy(),
             series=series,
             events=list(self.events),
-            dropped_envelopes=self.dropped_envelopes,
         )
 
 
@@ -378,7 +364,6 @@ class TrialResult:
     visit_counts: np.ndarray            # (N, K); row 0 (the BS) stays zero
     series: Dict[str, np.ndarray]
     events: List[VisitEvent]
-    dropped_envelopes: int = 0
 
     def metric_row(self) -> Dict[str, float]:
         return {
@@ -453,16 +438,19 @@ def parameter_sweep(
     points = list(itertools.product(etas, p_maxes, sigmas))
     if not points:
         raise ConfigurationError("parameter sweep grid is empty")
+    point_cfgs = [
+        replace(config, eta=eta, p_max=p_max, sigma=sigma).validate()
+        for eta, p_max, sigma in points
+    ]
     rows = []
-    for eta, p_max, sigma in points:
-        point_cfg = replace(config, eta=eta, p_max=p_max, sigma=sigma).validate()
+    for point_cfg in point_cfgs:
         results, summary = run_batch(
             point_cfg, trials, base_seed, workers=workers, record_series=False
         )
         rows.append({
-            "eta": eta,
-            "p_max": p_max,
-            "sigma": sigma,
+            "eta": point_cfg.eta,
+            "p_max": point_cfg.p_max,
+            "sigma": point_cfg.sigma,
             "mean_I_G": summary["I_G"]["mean"],
             "mean_I_W": summary["I_W"]["mean"],
             "mean_norm_I_G": summary["norm_I_G"]["mean"],

@@ -9,7 +9,6 @@ adjacent grid at a time; each temporary-target completion triggers a fresh
 selection.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,23 +39,6 @@ def candidate_grids(position, delta: float, grid_map: GridMap) -> np.ndarray:
     if idx.size == 0:
         return np.array([grid_map.cell_of(position)], dtype=np.int64)
     return idx.astype(np.int64)
-
-
-def expected_travel_time(position, grid: int, v_max: float, grid_map: GridMap) -> int:
-    """ceil(distance / v_max), floored at one step."""
-    c = grid_map.centers[grid]
-    dist = math.hypot(c[0] - position[0], c[1] - position[1])
-    return max(1, math.ceil(dist / v_max))
-
-
-def adjustment_alpha(grid: int, p: float, p_max: float, sigma: float, grid_map: GridMap) -> float:
-    c = grid_map.chebyshev[grid]
-    d = c - (p_max - p)
-    return math.exp(-(d * d) / (2.0 * sigma * sigma))
-
-
-def grid_utility(assumed_idleness: float, travel_steps: int, alpha: float) -> float:
-    return alpha * (assumed_idleness + travel_steps) / travel_steps
 
 
 def _evaluate(position, cand, assumed, p, p_max, sigma, v_max, grid_map, use_alpha):

@@ -71,12 +71,11 @@ class WorldState:
     """Global clock plus ground-truth idleness, one step = one second."""
 
     t: int
-    idleness: np.ndarray    # (K,) int64, i^k(t) = t - last_visit[k]
-    last_visit: np.ndarray  # (K,) int64
+    idleness: np.ndarray  # (K,) int64, steps since the last visit (since t = 0 if none)
 
 
 def new_world(K: int) -> WorldState:
-    return WorldState(0, np.zeros(K, dtype=np.int64), np.zeros(K, dtype=np.int64))
+    return WorldState(0, np.zeros(K, dtype=np.int64))
 
 
 def advance_time(world: WorldState) -> WorldState:
@@ -111,5 +110,4 @@ def detect_patrol_completions(
         events.append(VisitEvent(int(robot_ids[r]), int(g), world.t))
     if len(grids):
         world.idleness[grids] = 0
-        world.last_visit[grids] = world.t
     return events

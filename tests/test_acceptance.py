@@ -12,18 +12,13 @@ import numpy as np
 import pytest
 
 from patrolsim.export import write_run_artifacts, verify_artifacts
-from patrolsim.priority import PriorityState, update_report_priority
 from patrolsim.scenario import ScenarioConfig, Simulation, run_batch, run_trial
-from patrolsim.strategy import (
-    adjustment_alpha,
-    candidate_grids,
-    expected_travel_time,
-    grid_utility,
-    select_patrol_target,
-)
+from patrolsim.strategy import candidate_grids, select_patrol_target
 from patrolsim.world import build_grid_map
 
+from oracles import adjustment_alpha, expected_travel_time, grid_utility
 from test_knowledge import StaticNet
+from test_priority import upd
 
 # full-mission configurations for 5- and 10-robot swarms (tuned parameter
 # triples (eta, p_max, sigma) per swarm size)
@@ -154,16 +149,15 @@ def test_03_priority_bound_and_handoff():
     rng = np.random.default_rng(7)
     bound_ok = True
     for _ in range(10_000):
-        state = PriorityState(float(rng.uniform(0, cap)), int(rng.integers(0, 50)))
+        p, omega = float(rng.uniform(0, cap)), int(rng.integers(0, 50))
         inbox = [
             (int(s) + 2, False, float(rng.uniform(0, cap)), int(rng.integers(0, 50)))
             for s in range(rng.integers(0, 4))
         ]
         if rng.random() < 0.2:
             inbox.append((1, True, 0.0, 0))
-        out = update_report_priority(state, inbox, bool(rng.random() < 0.3),
-                                     now=int(rng.integers(1, 1000)),
-                                     p_max=p_max, eta=eta)
+        out = upd(p, omega, inbox, bool(rng.random() < 0.3),
+                  now=int(rng.integers(1, 1000)), p_max=p_max, eta=eta)
         if out.p > cap + 1e-12:
             bound_ok = False
             break
@@ -171,10 +165,10 @@ def test_03_priority_bound_and_handoff():
     # pairwise handoff: the robot with the fresher base-station contact
     # absorbs max + eta * min; the other side resets to zero
     p_a, p_b = 120.0, 300.0
-    a = update_report_priority(PriorityState(p_a, 40), [(3, False, p_b, 10)],
-                               connected_to_bs=True, now=50, p_max=p_max, eta=eta)
-    b = update_report_priority(PriorityState(p_b, 10), [(2, False, p_a, 40)],
-                               connected_to_bs=True, now=50, p_max=p_max, eta=eta)
+    a = upd(p_a, 40, [(3, False, p_b, 10)],
+            connected=True, now=50, p_max=p_max, eta=eta)
+    b = upd(p_b, 10, [(2, False, p_a, 40)],
+            connected=True, now=50, p_max=p_max, eta=eta)
     handoff_ok = (a.p == max(p_a, p_b) + eta * min(p_a, p_b)) and b.p == 0.0
     report(3, "priority bound and handoff", bound_ok and handoff_ok,
            f"bound={bound_ok} handoff={handoff_ok}")

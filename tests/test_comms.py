@@ -16,8 +16,6 @@ def _env(sender):
         slice_grids=np.array([0], dtype=np.int64),
         slice_idleness=np.array([0], dtype=np.int64),
         slice_utimes=np.array([0], dtype=np.int64),
-        priority=0.0,
-        bs_contact=0,
     )
 
 

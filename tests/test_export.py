@@ -54,6 +54,13 @@ def _cli_verify(events, tmp_path) -> int:
     return main(["verify", str(events), "--config", str(cfg_path)])
 
 
+def _set_metric(text, key, value):
+    """metrics.csv text with one column of its single row replaced."""
+    header, row = (line.split(",") for line in text.splitlines())
+    row[header.index(key)] = value
+    return ",".join(header) + "\n" + ",".join(row) + "\n"
+
+
 class TestArtifacts:
     def test_file_set(self, trial):
         _, out = trial
@@ -188,6 +195,44 @@ class TestCli:
         assert _cli_verify(events, tmp_path) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: missing artifact") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, tamper", [
+        ("metrics.csv", lambda text: text.replace(",I_G,", ",I_g,", 1)),
+        ("metrics.csv", lambda text: _set_metric(text, "I_W", "abc")),
+        ("heatmap_robot_2.csv", lambda text: "x" + text[text.index(","):]),
+        ("heatmap_total.csv", lambda text: text + "1,2\n"),
+    ], ids=["no-I_G-column", "non-numeric-I_W", "cell-x", "ragged-row"])
+    def test_verify_malformed_csv_exit_3(self, trial, tmp_path, capsys, name, tamper):
+        events = _copy_trial(trial, tmp_path)
+        path = tmp_path / name
+        path.write_text(tamper(path.read_text()))
+        with pytest.raises(VerificationError, match=name):
+            verify_artifacts(events, CFG)
+        assert _cli_verify(events, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_missing_config_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert main(["run", "--config", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and str(missing) in err
+
+    def test_overrides_apply_before_validation(self, tmp_path):
+        # the file alone is invalid (failures without a schedule); the
+        # schedule flags complete it
+        cfg_path = tmp_path / "mission.cfg"
+        cfg_path.write_text(
+            "n_robots = 4\nwidth_grids = 8\nheight_grids = 8\n"
+            "mission_steps = 300\nwarmup_t0 = 50\nd_c = 120\ndelta = 120\n"
+            "eta = 0.5\np_max = 200\nsigma = 150\nbandwidth_s = 64\n"
+            "fail_fraction = 0.3\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert main(["run", "--config", str(cfg_path), "--seed", "1", "--out", str(out),
+                     "--fail-at", "100", "--recover-at", "200"]) == 0
+        assert (out / "events.log").exists()
 
     def test_batch_metrics_rows(self, tmp_path):
         cfg_path = tmp_path / "mission.cfg"

@@ -16,7 +16,7 @@ from patrolsim.world import VisitEvent, WorldState
 
 def world_with(idleness, t):
     arr = np.asarray(idleness, dtype=np.int64)
-    return WorldState(t, arr, np.zeros_like(arr))
+    return WorldState(t, arr)
 
 
 class TestSampleInstantaneous:

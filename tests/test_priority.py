@@ -1,13 +1,37 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from patrolsim.priority import PriorityState, update_report_priority
+from patrolsim.priority import update_report_priority
+
+
+class Updated(NamedTuple):
+    p: float
+    bs_contact: int
 
 
 def upd(p, omega, inbox, connected=False, now=100, p_max=425.0, eta=0.55):
-    return update_report_priority(
-        PriorityState(p, omega), inbox, connected, now, p_max, eta
+    """One recipient's (p, omega) after hearing `inbox`.
+
+    `inbox` holds (sender id, is_bs, sender p, sender omega) tuples. The
+    recipient sits in the last row, sender id k in row k - 1, and every
+    BS-flagged sender in row 0, the only BS row the simulator has.
+    """
+    n = max((sender for sender, *_ in inbox), default=1) + 1
+    ps = np.zeros(n)
+    omegas = np.zeros(n, dtype=np.int64)
+    heard = np.zeros((n, n), dtype=bool)
+    for sender, is_bs, sender_p, sender_omega in inbox:
+        row = 0 if is_bs else sender - 1
+        ps[row], omegas[row] = sender_p, sender_omega
+        heard[row, -1] = True
+    ps[-1], omegas[-1] = p, omega
+    recipient = np.arange(n) == n - 1
+    new_p, new_omega = update_report_priority(
+        ps, omegas, heard, recipient, recipient & connected, now, p_max, eta
     )
+    return Updated(float(new_p[-1]), int(new_omega[-1]))
 
 
 class TestUpdateReportPriority:
@@ -52,6 +76,29 @@ class TestUpdateReportPriority:
     def test_bs_contact_non_decreasing(self):
         state = upd(0.0, 90, [(1, True, 0.0, 0)], now=120)
         assert state.bs_contact == 120
+
+
+class TestSwarmFold:
+    def test_mutual_neighbours_match_single_recipient_calls(self):
+        # row 1 hears the BS and row 2; row 2 hears row 1. Both adopt, so
+        # each must read the other's values from before the call.
+        p = np.array([0.0, 120.0, 300.0])
+        omega = np.array([0, 10, 30], dtype=np.int64)
+        heard = np.array([[False, True, False],
+                          [False, False, True],
+                          [False, True, False]])
+        update = np.array([False, True, True])
+        connected = np.array([False, True, False])
+        new_p, new_omega = update_report_priority(
+            p, omega, heard, update, connected, 50, 425.0, 0.55
+        )
+        one = upd(120.0, 10, [(1, True, 0.0, 0), (3, False, 300.0, 30)],
+                  connected=True, now=50)
+        two = upd(300.0, 30, [(2, False, 120.0, 10)], connected=False, now=50)
+        assert (new_p[1], new_omega[1]) == (one.p, one.bs_contact)
+        assert (new_p[2], new_omega[2]) == (two.p, two.bs_contact)
+        assert new_p[1] == pytest.approx(300.0 + 0.55 * 120.0)
+        assert list(p) == [0.0, 120.0, 300.0]  # inputs untouched
 
 
 class TestPairwiseConservation:

@@ -113,6 +113,14 @@ class TestInitMission:
         sim = Simulation(SMALL, 2)
         assert (sim.temp[1:] >= 0).all()
 
+    def test_no_bs_contact_before_first_broadcast(self):
+        # every patroller starts within d_c of the BS, but nothing has been
+        # sent at t = 1, so no contact timestamp may be taken
+        sim = Simulation(SMALL, 2)
+        assert sim.prev_graph[1:, 0].all()
+        sim.step()
+        assert (sim.omega[1:] == 0).all()
+
 
 class TestRunTrial:
     def test_determinism(self):
@@ -223,3 +231,12 @@ class TestBatchAndSweep:
     def test_sweep_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
             parameter_sweep(SMALL, [], [200.0], [150.0], 1, 8)
+
+    def test_sweep_bad_last_point_rejected_before_any_batch(self, monkeypatch):
+        from patrolsim import scenario
+
+        calls = []
+        monkeypatch.setattr(scenario, "run_batch", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ConfigurationError, match="eta"):
+            parameter_sweep(SMALL, [0.4, 1.5], [200.0], [150.0], 1, 8)
+        assert calls == []

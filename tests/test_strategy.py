@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from patrolsim.strategy import (
-    adjustment_alpha,
     candidate_grids,
     er_select,
-    expected_travel_time,
-    grid_utility,
     random_select,
     select_patrol_target,
     temporary_target,
 )
 from patrolsim.world import build_grid_map
+
+from oracles import adjustment_alpha, expected_travel_time, grid_utility
 
 
 def brute_force_target(position, cand, assumed, p, p_max, sigma, v_max, gmap):

@@ -80,7 +80,6 @@ class TestDetectPatrolCompletions:
         )
         assert [(e.robot_id, e.grid, e.time) for e in events] == [(2, 0, 10)]
         assert world.idleness[0] == 0
-        assert world.last_visit[0] == 10
 
     def test_beyond_threshold_no_event(self, gmap20):
         world = new_world(gmap20.K)
@@ -102,7 +101,6 @@ class TestDetectPatrolCompletions:
         events = detect_patrol_completions(world, gmap20, positions, [2, 5], 3.0)
         assert sorted((e.robot_id, e.grid) for e in events) == [(2, k), (5, k)]
         assert world.idleness[k] == 0
-        assert world.last_visit[k] == 100
 
     def test_brute_force_recheck(self, gmap20, rng):
         # the emitted event set equals an exhaustive distance check
