@@ -16,9 +16,10 @@ from . import kernels
 
 def compute_connectivity(positions: np.ndarray, alive: np.ndarray, d_c: float) -> np.ndarray:
     """Symmetric boolean adjacency over operational robots, boundary inclusive."""
-    diff = positions[:, None, :] - positions[None, :, :]
-    d2 = (diff ** 2).sum(axis=2)
-    adj = d2 <= d_c * d_c
+    x, y = positions[:, 0], positions[:, 1]
+    dx = x[:, None] - x
+    dy = y[:, None] - y
+    adj = dx * dx + dy * dy <= d_c * d_c
     np.fill_diagonal(adj, False)
     adj &= alive[:, None]
     adj &= alive[None, :]
@@ -28,8 +29,10 @@ def compute_connectivity(positions: np.ndarray, alive: np.ndarray, d_c: float) -
 def truncate_knowledge(assumed: np.ndarray, utime: np.ndarray, s: int):
     """The s entries with the largest update times, newest first.
 
-    Ties on update time break toward the smaller grid index. Returns
-    (grid indices, idleness values, update times) copies safe to ship.
+    Ties on update time break toward the smaller grid index. When s covers
+    all K entries the whole base ships in grid order, unsorted: a merge does
+    not depend on slice order. Returns (grid indices, idleness values, update
+    times) copies safe to ship.
     """
     idx = kernels.top_s(utime, int(s))
     return idx.copy(), assumed[idx], utime[idx]
@@ -37,7 +40,6 @@ def truncate_knowledge(assumed: np.ndarray, utime: np.ndarray, s: int):
 
 @dataclass
 class MessageEnvelope:
-    sender: int    # 1-based robot id
     slice_grids: np.ndarray
     slice_idleness: np.ndarray
     slice_utimes: np.ndarray

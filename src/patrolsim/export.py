@@ -13,6 +13,7 @@ checks them against the emitted files.
 """
 
 import csv
+import io
 import math
 from pathlib import Path
 from typing import Dict, List, Tuple
@@ -121,18 +122,26 @@ def _write_matrix(matrix: np.ndarray, path: Path) -> None:
             writer.writerow([str(int(v)) for v in row])
 
 
-def _read_matrix(path: Path) -> np.ndarray:
+def _read_text(path) -> str:
+    """An artifact's text, line endings untranslated (as csv wants them)."""
     try:
-        with open(path, newline="") as fh:
-            return np.array([[int(v) for v in row] for row in csv.reader(fh)],
-                            dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise VerificationError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
+def _read_matrix(path: Path) -> np.ndarray:
+    rows = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        return np.array([[int(v) for v in row] for row in rows], dtype=np.int64)
+    except (ValueError, OverflowError, csv.Error) as exc:
         raise VerificationError(f"{path}: expected a rectangular matrix of integers") from exc
 
 
 def read_events(path) -> List[VisitEvent]:
     events = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -206,8 +215,11 @@ def verify_artifacts(events_path, config: ScenarioConfig, artifact_dir=None) -> 
     i_g, i_w, counts = replay_events(events, config)
 
     mismatches = []
-    with open(out / "metrics.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    text = io.StringIO(_read_text(out / "metrics.csv"), newline="")
+    try:
+        rows = list(csv.DictReader(text))
+    except csv.Error as exc:
+        raise VerificationError(f"{out / 'metrics.csv'}: {exc}") from exc
     if len(rows) != 1:
         mismatches.append(f"metrics.csv: expected 1 row, found {len(rows)}")
         return mismatches

@@ -106,6 +106,8 @@ class ScenarioConfig:
             )
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.fail_fraction <= 1.0:
             raise ConfigurationError("fail_fraction must be in [0, 1]")
         if self.fail_fraction > 0.0:
@@ -150,9 +152,11 @@ def parse_config(path) -> ScenarioConfig:
     overrides can still fix them. Call `validate()` on the final config.
     """
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {path} is not UTF-8 text (byte {exc.start})") from exc
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -180,6 +184,8 @@ class Simulation:
 
     def __init__(self, config: ScenarioConfig, seed: int, record_series: bool = True):
         config.validate()
+        if seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {seed}")
         self.config = config
         self.seed = seed
         self.rng = np.random.default_rng(seed)
@@ -314,7 +320,7 @@ class Simulation:
             grids, ivals, tvals = truncate_knowledge(
                 self.assumed[i], self.utime[i], cfg.bandwidth_s
             )
-            outbox[i] = MessageEnvelope(i + 1, grids, ivals, tvals)
+            outbox[i] = MessageEnvelope(grids, ivals, tvals)
         self.outbox = outbox
         self.prev_graph = graph
 

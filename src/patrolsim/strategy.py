@@ -34,8 +34,10 @@ def candidate_grids(position, delta: float, grid_map: GridMap) -> np.ndarray:
     Never empty: falls back to the containing grid when delta is smaller
     than the distance to every center.
     """
-    d2 = ((grid_map.centers - np.asarray(position, dtype=np.float64)) ** 2).sum(axis=1)
-    idx = np.nonzero(d2 <= delta * delta)[0]
+    position = np.asarray(position, dtype=np.float64)
+    dx = grid_map.centers[:, 0] - position[0]
+    dy = grid_map.centers[:, 1] - position[1]
+    idx = np.nonzero(dx * dx + dy * dy <= delta * delta)[0]
     if idx.size == 0:
         return np.array([grid_map.cell_of(position)], dtype=np.int64)
     return idx.astype(np.int64)
@@ -107,6 +109,7 @@ def temporary_target(current_grid: int, target_grid: int, grid_map: GridMap) -> 
     neigh = grid_map.neighbors8(current_grid)
     if target_grid in neigh:
         return target_grid
-    tc = grid_map.centers[target_grid]
-    d2 = ((grid_map.centers[neigh] - tc) ** 2).sum(axis=1)
-    return int(neigh[int(np.argmin(d2))])
+    tx, ty = grid_map.centers[target_grid]
+    dx = grid_map.centers[neigh, 0] - tx
+    dy = grid_map.centers[neigh, 1] - ty
+    return int(neigh[int(np.argmin(dx * dx + dy * dy))])

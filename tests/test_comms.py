@@ -10,9 +10,8 @@ from patrolsim.comms import (
 )
 
 
-def _env(sender):
+def _env():
     return MessageEnvelope(
-        sender=sender,
         slice_grids=np.array([0], dtype=np.int64),
         slice_idleness=np.array([0], dtype=np.int64),
         slice_utimes=np.array([0], dtype=np.int64),
@@ -53,12 +52,14 @@ class TestConnectivity:
 
 class TestTruncateKnowledge:
     def test_full_copy_when_s_covers_k(self):
+        # s >= K ships the whole base in grid order, without sorting
         utime = np.array([3, 1, 2], dtype=np.int64)
         assumed = np.array([30, 10, 20], dtype=np.int64)
-        grids, ivals, tvals = truncate_knowledge(assumed, utime, 400)
-        assert list(grids) == [0, 2, 1]
-        assert list(ivals) == [30, 20, 10]
-        assert list(tvals) == [3, 2, 1]
+        for s in (3, 400):
+            grids, ivals, tvals = truncate_knowledge(assumed, utime, s)
+            for got, want in ((grids, [0, 1, 2]), (ivals, [30, 10, 20]), (tvals, [3, 1, 2])):
+                assert got.dtype == np.int64
+                assert got.tolist() == want
 
     def test_tie_breaks_to_smaller_index(self):
         utime = np.array([10, 50, 30, 50], dtype=np.int64)
@@ -78,22 +79,27 @@ class TestTruncateKnowledge:
 
 class TestDeliver:
     def test_neighbor_receives_previous_step_envelope(self):
-        # r_2 (row 1) and r_7 (row 2) were neighbors at t-1
+        # rows 1 and 2 were neighbors at t-1
         graph = np.zeros((3, 3), dtype=bool)
         graph[1, 2] = graph[2, 1] = True
-        inboxes = deliver({1: _env(2), 2: _env(7)}, graph)
-        assert [e.sender for e in inboxes[2]] == [2]
+        envs = {1: _env(), 2: _env()}
+        inboxes = deliver(envs, graph)
+        assert len(inboxes[2]) == 1 and inboxes[2][0] is envs[1]
+        assert len(inboxes[1]) == 1 and inboxes[1][0] is envs[2]
+        assert inboxes[0] == []
 
     def test_no_neighbors_empty_inbox(self):
         graph = np.zeros((2, 2), dtype=bool)
-        inboxes = deliver({0: _env(1), 1: _env(2)}, graph)
+        inboxes = deliver({0: _env(), 1: _env()}, graph)
         assert inboxes == [[], []]
 
     def test_three_mutual_neighbors(self):
         graph = np.ones((3, 3), dtype=bool)
         np.fill_diagonal(graph, False)
-        inboxes = deliver({i: _env(i + 1) for i in range(3)}, graph)
+        envs = [_env() for _ in range(3)]
+        # enqueued out of order; each inbox must hold the others by ascending row
+        inboxes = deliver({i: envs[i] for i in (2, 0, 1)}, graph)
         for i in range(3):
-            senders = [e.sender for e in inboxes[i]]
-            assert len(senders) == 2
-            assert senders == sorted(senders)  # ascending sender order
+            want = [envs[j] for j in range(3) if j != i]
+            assert len(inboxes[i]) == 2
+            assert all(got is env for got, env in zip(inboxes[i], want))

@@ -201,7 +201,10 @@ class TestCli:
         ("metrics.csv", lambda text: _set_metric(text, "I_W", "abc")),
         ("heatmap_robot_2.csv", lambda text: "x" + text[text.index(","):]),
         ("heatmap_total.csv", lambda text: text + "1,2\n"),
-    ], ids=["no-I_G-column", "non-numeric-I_W", "cell-x", "ragged-row"])
+        ("metrics.csv", lambda text: text + "9" * 200_000 + "\n"),
+        ("heatmap_robot_4.csv", lambda text: "9" * 200_000 + text),
+    ], ids=["no-I_G-column", "non-numeric-I_W", "cell-x", "ragged-row",
+            "metrics-field-over-csv-limit", "heatmap-field-over-csv-limit"])
     def test_verify_malformed_csv_exit_3(self, trial, tmp_path, capsys, name, tamper):
         events = _copy_trial(trial, tmp_path)
         path = tmp_path / name
@@ -211,6 +214,37 @@ class TestCli:
         assert _cli_verify(events, tmp_path) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, tamper", [
+        ("events.log", lambda data: data + b"\xff\xfe"),
+        ("metrics.csv", lambda data: data.replace(b"\n", b"\n\xff\xfe", 1)),
+        ("heatmap_robot_3.csv", lambda data: data.replace(b"\n", b"\n\xff\xfe", 1)),
+    ], ids=["events-appended", "metrics", "heatmap"])
+    def test_verify_not_utf8_exit_3(self, trial, tmp_path, capsys, name, tamper):
+        events = _copy_trial(trial, tmp_path)
+        path = tmp_path / name
+        path.write_bytes(tamper(path.read_bytes()))
+        with pytest.raises(VerificationError, match=f"{name}: not UTF-8"):
+            verify_artifacts(events, CFG)
+        assert _cli_verify(events, tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "mission.cfg"
+        cfg_path.write_bytes(b"n_robots = 4\n\xff\xfe\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "not UTF-8" in err
+        assert err.count("\n") == 1 and not out.exists()
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--seed", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"

@@ -6,9 +6,8 @@ from patrolsim.knowledge import merge_received, record_patrol
 from oracles import new_base, tick_assumptions
 
 
-def _env(sender, grids, ivals, tvals):
+def _env(grids, ivals, tvals):
     return MessageEnvelope(
-        sender=sender,
         slice_grids=np.asarray(grids, dtype=np.int64),
         slice_idleness=np.asarray(ivals, dtype=np.int64),
         slice_utimes=np.asarray(tvals, dtype=np.int64),
@@ -42,7 +41,7 @@ class StaticNet:
         for i in range(self.n):
             if self.graph[i].any():
                 g, iv, tv = truncate_knowledge(self.assumed[i], self.utime[i], self.s)
-                self.outbox[i] = _env(i + 1, g, iv, tv)
+                self.outbox[i] = _env(g, iv, tv)
 
 
 class TestTickAssumptions:
@@ -89,18 +88,18 @@ class TestMergeReceived:
     def test_newer_entry_adopted_verbatim(self):
         assumed, utime = new_base(4)
         assumed[2], utime[2] = 50, 100
-        merge_received(assumed, utime, [_env(3, [2], [10], [140])], 4)
+        merge_received(assumed, utime, [_env([2], [10], [140])], 4)
         assert assumed[2] == 10 and utime[2] == 140
 
     def test_stale_entry_ignored(self):
         assumed, utime = new_base(4)
         assumed[2], utime[2] = 2, 200
-        merge_received(assumed, utime, [_env(3, [2], [90], [150])], 4)
+        merge_received(assumed, utime, [_env([2], [90], [150])], 4)
         assert assumed[2] == 2 and utime[2] == 200
 
     def test_largest_update_time_wins_across_slices(self):
         assumed, utime = new_base(4)
-        envs = [_env(2, [1], [7], [50]), _env(3, [1], [4], [80])]
+        envs = [_env([1], [7], [50]), _env([1], [4], [80])]
         merge_received(assumed, utime, envs, 4)
         assert assumed[1] == 4 and utime[1] == 80
 

@@ -68,11 +68,18 @@ class TestConfig:
         ("sigma", math.nan, "sigma must be finite"),
         ("v_max", math.inf, "v_max must be finite"),
         ("warmup_t0", 601, "warm-up"),
+        ("seed", -1, "seed must be >= 0"),
     ])
     def test_invalid_value_rejected_before_any_step(self, field, value, match):
         cfg = replace(SMALL, **{field: value})
         with pytest.raises(ConfigurationError, match=match):
             Simulation(cfg, 1)
+
+    def test_negative_trial_seed_rejected(self):
+        # numpy's generator would raise ValueError; the seed argument is
+        # checked like a config field
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            Simulation(SMALL, -1)
 
     def test_failure_schedule_consistency(self):
         with pytest.raises(ConfigurationError):
