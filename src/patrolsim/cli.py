@@ -3,7 +3,7 @@
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import ConfigurationError, PatrolSimError
@@ -15,6 +15,7 @@ from .scenario import (
     run_batch,
     run_trial,
 )
+from .strategy import STRATEGIES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -27,26 +28,23 @@ def _styled(text: str, code: str) -> str:
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
+# ScenarioConfig fields that every mission subcommand takes as a flag
+# (`n_robots` as `--n-robots`), typed like the field
+OVERRIDES = ("strategy", "n_robots", "bandwidth_s", "fail_fraction", "fail_at", "recover_at")
+
+
 def _add_overrides(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--strategy", choices=("lr-pt", "er", "random"))
-    parser.add_argument("--n-robots", type=int)
-    parser.add_argument("--bandwidth-s", type=int)
-    parser.add_argument("--fail-fraction", type=float)
-    parser.add_argument("--fail-at", type=int)
-    parser.add_argument("--recover-at", type=int)
+    types = {f.name: f.type for f in fields(ScenarioConfig)}
+    for name in OVERRIDES:
+        parser.add_argument("--" + name.replace("_", "-"), type=types[name],
+                            choices=STRATEGIES if name == "strategy" else None)
 
 
 def _load_config(args) -> ScenarioConfig:
     config = parse_config(args.config) if args.config else ScenarioConfig()
-    overrides = {}
-    for attr in ("strategy", "n_robots", "bandwidth_s", "fail_fraction",
-                 "fail_at", "recover_at"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[attr] = value
-    if overrides:
-        config = replace(config, **overrides)
-    return config.validate()
+    overrides = {name: getattr(args, name) for name in OVERRIDES
+                 if getattr(args, name) is not None}
+    return replace(config, **overrides).validate()
 
 
 def _floats(raw: str):

@@ -8,7 +8,8 @@ Artifact set for one trial:
   heatmap_total.csv  elementwise sum over robots
   events.log         one `time,robot,grid` row per visit event
 
-`verify` recomputes I_G, I_W, and the heatmaps from events.log alone and
+`verify` checks the swarm/map/bandwidth echo in metrics.csv against the
+config, then recomputes I_G, I_W, and the heatmaps from events.log alone and
 checks them against the emitted files.
 """
 
@@ -199,38 +200,52 @@ def _close(a: float, b: float, rel: float = 1e-9) -> bool:
     return math.isclose(a, b, rel_tol=rel, abs_tol=1e-12)
 
 
-def verify_artifacts(events_path, config: ScenarioConfig, artifact_dir=None) -> List[str]:
-    """Replay events.log and check metrics.csv and the heatmaps against it.
+def _require(*paths: Path) -> None:
+    for path in paths:
+        if not path.is_file():
+            raise VerificationError(f"missing artifact {path}")
 
-    Returns a list of mismatch descriptions; empty means verified. A file
-    that cannot be read as the artifact it names raises VerificationError.
+
+def verify_artifacts(events_path, config: ScenarioConfig, artifact_dir=None) -> List[str]:
+    """Check the config echo in metrics.csv, then replay events.log and check
+    metrics.csv and the heatmaps against it.
+
+    Returns a list of mismatch descriptions; empty means verified. An echoed
+    field (`n_robots`, `K`, `bandwidth_s`, `strategy`) that differs from the
+    config is reported without a replay, which would then differ everywhere.
+    A file that cannot be read as the artifact it names raises
+    VerificationError.
     """
     events_path = Path(events_path)
     out = Path(artifact_dir) if artifact_dir is not None else events_path.parent
-    heatmaps = [out / f"heatmap_robot_{i}.csv" for i in range(2, config.n_robots + 1)]
-    for path in (events_path, out / "metrics.csv", out / "heatmap_total.csv", *heatmaps):
-        if not path.is_file():
-            raise VerificationError(f"missing artifact {path}")
-    events = read_events(events_path)
-    i_g, i_w, counts = replay_events(events, config)
-
-    mismatches = []
-    text = io.StringIO(_read_text(out / "metrics.csv"), newline="")
+    metrics_path = out / "metrics.csv"
+    _require(events_path, metrics_path)
+    text = io.StringIO(_read_text(metrics_path), newline="")
     try:
         rows = list(csv.DictReader(text))
     except csv.Error as exc:
-        raise VerificationError(f"{out / 'metrics.csv'}: {exc}") from exc
+        raise VerificationError(f"{metrics_path}: {exc}") from exc
     if len(rows) != 1:
-        mismatches.append(f"metrics.csv: expected 1 row, found {len(rows)}")
-        return mismatches
+        return [f"metrics.csv: expected 1 row, found {len(rows)}"]
     row = rows[0]
     try:
+        echo = {name: int(row[name]) for name in ("n_robots", "K", "bandwidth_s")}
+        echo["strategy"] = row["strategy"]
         recorded_ig, recorded_iw = float(row["I_G"]), int(row["I_W"])
         recorded_norm = float(row["norm_I_G"])
     except (KeyError, TypeError, ValueError) as exc:
         raise VerificationError(
-            f"{out / 'metrics.csv'}: expected numeric I_G, I_W and norm_I_G columns"
+            f"{metrics_path}: expected integer n_robots, K and bandwidth_s, a strategy "
+            "and numeric I_G, I_W and norm_I_G columns"
         ) from exc
+    mismatches = [f"{name}: recorded {value}, config {getattr(config, name)}"
+                  for name, value in echo.items() if value != getattr(config, name)]
+    if mismatches:
+        return mismatches
+
+    heatmaps = [out / f"heatmap_robot_{i}.csv" for i in range(2, config.n_robots + 1)]
+    _require(out / "heatmap_total.csv", *heatmaps)
+    i_g, i_w, counts = replay_events(read_events(events_path), config)
     if not _close(recorded_ig, i_g):
         mismatches.append(f"I_G: recorded {row['I_G']}, replay {i_g!r}")
     if recorded_iw != i_w:

@@ -1,17 +1,21 @@
 """Configuration, seeded initialization, the per-timestep loop, and batches.
 
-Fixed phase order per timestep t:
-  1. advance the clock and ground-truth idleness; age operational bases
-  2. deliver envelopes enqueued at t-1 (recipients fixed by the t-1 graph)
-  3. operational robots merge received knowledge; operational patrollers
-     update their report priority from the t-1 priorities of the robots
-     they heard at t-1
-  4. operational patrollers take one kinematic step toward the temporary grid
-  5. detect patrol completions, reset idleness, record own-patrol entries,
-     and re-select targets for robots whose temporary grid completed
-  6. compute the connectivity graph at t and enqueue each connected robot's
-     top-s knowledge slice for delivery at t+1
-  7. sample instantaneous metrics
+`Simulation.step` runs one timestep t as a fixed sequence of phases, each a
+method that reads t from the world clock:
+  1. `_clock`: apply the failure schedule, advance the clock and ground-truth
+     idleness, and age operational bases (frozen robots keep state)
+  2. `deliver`: envelopes enqueued at t-1 reach the t-1 neighbors
+  3. `_merge`: operational robots merge received knowledge; operational
+     patrollers update their report priority from the t-1 priorities of the
+     robots they heard at t-1
+  4. `_move`: operational patrollers take one kinematic step toward the
+     temporary grid
+  5. `_complete`: detect patrol completions, reset idleness, record
+     own-patrol entries, and re-select targets for robots whose temporary
+     grid completed or that recovered at t
+  6. `_broadcast`: compute the connectivity graph at t and enqueue each
+     connected robot's top-s knowledge slice for delivery at t+1
+  7. `_sample`: sample instantaneous metrics
 
 All mutation is single-threaded within a trial; trials in a batch are
 independent and reproducible from (config, seed) alone.
@@ -242,48 +246,43 @@ class Simulation:
             sel = strategy.random_select(cur, self.grid_map, self.rng)
         self.temp[i] = sel.temporary_grid
 
-    def _apply_failure_schedule(self, t: int) -> None:
-        if not self.fail_rows:
-            return
-        if t == self.config.fail_at:
-            for i in self.fail_rows:
-                self.alive[i] = False
-        if t == self.config.recover_at:
-            for i in self.fail_rows:
-                self.alive[i] = True
-                self.p[i] = 0.0       # a fresh returner must not hijack reporting
-                self.need_select[i] = True
-
     def step(self) -> List[VisitEvent]:
-        cfg = self.config
-        gmap = self.grid_map
-        n = cfg.n_robots
-        K = gmap.K
-        t = self.world.t + 1
-        self._apply_failure_schedule(t)
+        self._clock()
+        self._merge(deliver(self.outbox, self.prev_graph))
+        self._move()
+        events = self._complete()
+        self._broadcast()
+        self._sample()
+        return events
 
-        # phase 1: clock, ground truth, knowledge aging (frozen robots keep state)
+    def _clock(self) -> None:
+        cfg = self.config
+        t = self.world.t + 1
+        if t == cfg.fail_at:
+            self.alive[self.fail_rows] = False
+        if t == cfg.recover_at:
+            self.alive[self.fail_rows] = True
+            self.p[self.fail_rows] = 0.0  # a fresh returner must not hijack reporting
+            self.need_select[self.fail_rows] = True
         advance_time(self.world)
         self.assumed[self.alive] += 1
 
-        # phase 2: delivery of t-1 envelopes
-        inboxes = deliver(self.outbox, self.prev_graph)
-
-        # phase 3: merge + priority from frozen t-1 snapshots
-        for i in range(n):
-            if not self.alive[i] or not inboxes[i]:
-                continue
-            knowledge.merge_received(self.assumed[i], self.utime[i], inboxes[i], K)
+    def _merge(self, inboxes: List[List[MessageEnvelope]]) -> None:
+        cfg = self.config
+        for i in range(cfg.n_robots):
+            if self.alive[i] and inboxes[i]:
+                knowledge.merge_received(self.assumed[i], self.utime[i], inboxes[i], cfg.K)
         patrolling = self.alive.copy()
         patrolling[0] = False
         self.p, self.omega = update_report_priority(
             self.p, self.omega, self.prev_graph & self.sent[:, None], patrolling,
-            self.prev_graph[:, 0], t, cfg.p_max, cfg.eta,
+            self.prev_graph[:, 0], self.world.t, cfg.p_max, cfg.eta,
         )
 
-        # phase 4: motion
-        mover = holonomic_step if cfg.holonomic else step_toward
-        for i in range(1, n):
+    def _move(self) -> None:
+        gmap = self.grid_map
+        mover = holonomic_step if self.config.holonomic else step_toward
+        for i in range(1, self.config.n_robots):
             if not self.alive[i] or self.temp[i] < 0:
                 continue
             wx, wy = gmap.centers[self.temp[i]]
@@ -294,40 +293,38 @@ class Simulation:
             self.pos[i, 1] = y
             self.heading[i] = th
 
-        # phase 5: completions, own-patrol recording, re-selection
-        rows = [i for i in range(1, n) if self.alive[i]]
+    def _complete(self) -> List[VisitEvent]:
+        """Record completions; re-select, in ascending row order, every row in
+        `need_select`: completed temporary grids and robots that recovered."""
+        rows = np.flatnonzero(self.alive[1:]) + 1
         events = detect_patrol_completions(
-            self.world, gmap, self.pos[rows], [i + 1 for i in rows], cfg.rho
+            self.world, self.grid_map, self.pos[rows], rows + 1, self.config.rho
         )
-        completed = set()
         for ev in events:
             self.events.append(ev)
             metrics.record_visit(self.metrics, ev)
             i = ev.robot_id - 1
-            knowledge.record_patrol(self.assumed[i], self.utime[i], ev.grid, t)
+            knowledge.record_patrol(self.assumed[i], self.utime[i], ev.grid, ev.time)
             if ev.grid == self.temp[i]:
-                completed.add(i)
-        for i in rows:
-            if i in completed or self.need_select[i]:
-                self._select_target(i)
-                self.need_select[i] = False
+                self.need_select[i] = True
+        for i in np.flatnonzero(self.need_select):
+            self._select_target(i)
+        self.need_select[:] = False
+        return events
 
-        # phase 6: connectivity at t and broadcast
-        graph = compute_connectivity(self.pos, self.alive, cfg.d_c)
+    def _broadcast(self) -> None:
+        graph = compute_connectivity(self.pos, self.alive, self.config.d_c)
         self.sent = graph.any(axis=1)  # the graph only links operational robots
-        outbox: Dict[int, MessageEnvelope] = {}
-        for i in np.flatnonzero(self.sent):
-            grids, ivals, tvals = truncate_knowledge(
-                self.assumed[i], self.utime[i], cfg.bandwidth_s
-            )
-            outbox[i] = MessageEnvelope(grids, ivals, tvals)
-        self.outbox = outbox
+        self.outbox = {
+            i: MessageEnvelope(*truncate_knowledge(
+                self.assumed[i], self.utime[i], self.config.bandwidth_s))
+            for i in np.flatnonzero(self.sent)
+        }
         self.prev_graph = graph
 
-        # phase 7: metrics
+    def _sample(self) -> None:
         n_active = int(self.alive[1:].sum())
         metrics.sample_instantaneous(self.world, self.utime[0], self.metrics, n_active)
-        return events
 
     def run(self) -> "TrialResult":
         for _ in range(self.config.mission_steps):
@@ -409,6 +406,8 @@ def run_batch(
     """Independent trials with seeds base_seed..base_seed+trials-1."""
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     jobs = [(config, base_seed + i, record_series) for i in range(trials)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

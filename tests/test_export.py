@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,15 +44,16 @@ def _copy_trial(trial, dst):
     return dst / "events.log"
 
 
-def _cli_verify(events, tmp_path) -> int:
-    """`patrolsim verify` on events with a config file that matches CFG."""
+def _cli_verify(events, tmp_path, *flags) -> int:
+    """`patrolsim verify` on events with a config file that matches CFG,
+    overridden by `flags`."""
     cfg_path = tmp_path / "mission.cfg"
     cfg_path.write_text(
         "n_robots = 4\nwidth_grids = 8\nheight_grids = 8\n"
         "mission_steps = 500\nwarmup_t0 = 100\nd_c = 120\ndelta = 120\n"
         "eta = 0.5\np_max = 200\nsigma = 150\nbandwidth_s = 64\n"
     )
-    return main(["verify", str(events), "--config", str(cfg_path)])
+    return main(["verify", str(events), "--config", str(cfg_path), *flags])
 
 
 def _set_metric(text, key, value):
@@ -203,8 +205,11 @@ class TestCli:
         ("heatmap_total.csv", lambda text: text + "1,2\n"),
         ("metrics.csv", lambda text: text + "9" * 200_000 + "\n"),
         ("heatmap_robot_4.csv", lambda text: "9" * 200_000 + text),
+        ("metrics.csv", lambda text: text.replace(",K,", ",k,", 1)),
+        ("metrics.csv", lambda text: _set_metric(text, "bandwidth_s", "64.0")),
     ], ids=["no-I_G-column", "non-numeric-I_W", "cell-x", "ragged-row",
-            "metrics-field-over-csv-limit", "heatmap-field-over-csv-limit"])
+            "metrics-field-over-csv-limit", "heatmap-field-over-csv-limit",
+            "no-K-column", "non-integer-bandwidth_s"])
     def test_verify_malformed_csv_exit_3(self, trial, tmp_path, capsys, name, tamper):
         events = _copy_trial(trial, tmp_path)
         path = tmp_path / name
@@ -229,6 +234,35 @@ class TestCli:
         assert _cli_verify(events, tmp_path) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("override, flags, line", [
+        ({"strategy": "er"}, ["--strategy", "er"], "strategy: recorded lr-pt, config er"),
+        ({"n_robots": 3}, ["--n-robots", "3"], "n_robots: recorded 4, config 3"),
+    ], ids=["strategy", "n_robots"])
+    def test_verify_config_echo_mismatch_exit_3(self, trial, tmp_path, capsys,
+                                                override, flags, line):
+        events = _copy_trial(trial, tmp_path)
+        assert verify_artifacts(events, replace(CFG, **override)) == [line]
+        assert _cli_verify(events, tmp_path, *flags) == 3
+        assert capsys.readouterr().err == f"MISMATCH {line}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["batch", "--trials", "2"],
+        ["sweep", "--eta-list", "0.5", "--pm-list", "200", "--sigma-list", "150"],
+    ], ids=["batch", "sweep"])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, command, workers):
+        cfg_path = tmp_path / "mission.cfg"
+        cfg_path.write_text(
+            "n_robots = 4\nwidth_grids = 8\nheight_grids = 8\n"
+            "mission_steps = 100\nwarmup_t0 = 50\nd_c = 120\ndelta = 120\n"
+        )
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(cfg_path), "--workers", workers,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: workers must be >= 1, got {workers}\n"
+        assert not out.exists()
 
     def test_config_not_utf8_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "mission.cfg"

@@ -235,6 +235,18 @@ class TestBatchAndSweep:
         _, batch = run_batch(SMALL, 2, base_seed=8)
         assert single[0]["mean_I_G"] == pytest.approx(batch["I_G"]["mean"])
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected_before_any_trial(self, monkeypatch, workers):
+        from patrolsim import scenario
+
+        calls = []
+        monkeypatch.setattr(scenario, "run_trial", lambda *a: calls.append(a))
+        with pytest.raises(ConfigurationError, match=f"workers must be >= 1, got {workers}"):
+            run_batch(SMALL, 2, base_seed=1, workers=workers)
+        with pytest.raises(ConfigurationError, match="workers must be >= 1"):
+            parameter_sweep(SMALL, [0.4, 0.5], [200.0], [150.0], 1, 8, workers=workers)
+        assert calls == []
+
     def test_sweep_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
             parameter_sweep(SMALL, [], [200.0], [150.0], 1, 8)
