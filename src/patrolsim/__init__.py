@@ -8,12 +8,7 @@ travel time, and reporting urgency. The package ships the full metric suite
 experiments, batch tooling, and an event-log replay verifier.
 """
 
-from .errors import (
-    ConfigurationError,
-    MetricsError,
-    PatrolSimError,
-    VerificationError,
-)
+from .errors import ConfigurationError, PatrolSimError, VerificationError
 from .scenario import (
     ScenarioConfig,
     Simulation,
@@ -26,7 +21,6 @@ from .scenario import (
 
 __all__ = [
     "ConfigurationError",
-    "MetricsError",
     "PatrolSimError",
     "VerificationError",
     "ScenarioConfig",

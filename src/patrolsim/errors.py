@@ -9,9 +9,5 @@ class ConfigurationError(PatrolSimError):
     """Invalid configuration value, unknown key, or inconsistent settings."""
 
 
-class MetricsError(PatrolSimError):
-    """Metrics cannot be finalized (e.g. mission shorter than the warm-up)."""
-
-
 class VerificationError(PatrolSimError):
     """Replay of an event log does not reproduce the recorded results."""

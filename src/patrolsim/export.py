@@ -1,16 +1,21 @@
 """File emission and the event-log replay oracle.
 
 Artifact set for one trial:
-  metrics.csv        one row: seed, swarm/map/bandwidth echo, raw and
-                     normalized metrics
-  timeseries.csv     per-step instantaneous metrics, unfiltered by warm-up
+  metrics.csv        one row: seed, swarm/map/bandwidth echo, the raw metrics
+                     and `TrialResult.metric_row()`'s norm_* values, which
+                     scale by (N-1)/K
+  timeseries.csv     per-step instantaneous metrics, unfiltered by warm-up:
+                     the `TrialResult.series` columns, then I_g and D_mSA
+                     scaled by n_active/K (the operational patrollers at t)
   heatmap_robot_<id>.csv   height x width integer matrix, row = y ascending
   heatmap_total.csv  elementwise sum over robots
   events.log         one `time,robot,grid` row per visit event
 
+Floats are written with 17 significant digits, so they read back exactly.
+
 `verify` checks the swarm/map/bandwidth echo in metrics.csv against the
-config, then recomputes I_G, I_W, and the heatmaps from events.log alone and
-checks them against the emitted files.
+config, then recomputes I_G, I_W, norm_I_G, norm_I_W and the heatmaps from
+events.log alone and checks them against the emitted files.
 """
 
 import csv
@@ -22,7 +27,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .errors import VerificationError
-from .metrics import normalize_active
+from .metrics import SERIES_KEYS, normalize, normalize_active
 from .scenario import ScenarioConfig, TrialResult
 from .world import VisitEvent
 
@@ -38,13 +43,7 @@ TIMESERIES_FIELDS = [
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _metrics_row(result: TrialResult) -> Dict[str, object]:
@@ -81,22 +80,16 @@ def write_run_artifacts(result: TrialResult, out_dir) -> List[Path]:
     written.append(path)
 
     path = out / "timeseries.csv"
-    s = result.series
+    columns = (result.series[k].tolist() for k in SERIES_KEYS)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TIMESERIES_FIELDS)
-        for j in range(len(s["t"])):
-            n_active = int(s["n_active"][j])
-            writer.writerow([
-                _fmt(int(s["t"][j])),
-                _fmt(float(s["i_g"][j])),
-                _fmt(int(s["i_w"][j])),
-                _fmt(float(s["d_msa"][j])),
-                _fmt(int(s["d_wsa"][j])),
-                _fmt(n_active),
-                _fmt(normalize_active(float(s["i_g"][j]), n_active, cfg.K)),
-                _fmt(normalize_active(float(s["d_msa"][j]), n_active, cfg.K)),
-            ])
+        writer.writerows(
+            [_fmt(v) for v in (t, i_g, i_w, d_msa, d_wsa, n_active,
+                               normalize_active(i_g, n_active, cfg.K),
+                               normalize_active(d_msa, n_active, cfg.K))]
+            for t, i_g, i_w, d_msa, d_wsa, n_active in zip(*columns)
+        )
     written.append(path)
 
     shape = (cfg.height_grids, cfg.width_grids)
@@ -196,6 +189,10 @@ def replay_events(
     return sum_ig / samples, max_iw, counts
 
 
+# metrics.csv columns that verify recomputes from events.log, with their types
+REPLAYED = {"I_G": float, "I_W": int, "norm_I_G": float, "norm_I_W": float}
+
+
 def _close(a: float, b: float, rel: float = 1e-9) -> bool:
     return math.isclose(a, b, rel_tol=rel, abs_tol=1e-12)
 
@@ -231,12 +228,11 @@ def verify_artifacts(events_path, config: ScenarioConfig, artifact_dir=None) -> 
     try:
         echo = {name: int(row[name]) for name in ("n_robots", "K", "bandwidth_s")}
         echo["strategy"] = row["strategy"]
-        recorded_ig, recorded_iw = float(row["I_G"]), int(row["I_W"])
-        recorded_norm = float(row["norm_I_G"])
+        recorded_metrics = {name: parse(row[name]) for name, parse in REPLAYED.items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise VerificationError(
             f"{metrics_path}: expected integer n_robots, K and bandwidth_s, a strategy "
-            "and numeric I_G, I_W and norm_I_G columns"
+            f"and numeric {', '.join(REPLAYED)} columns"
         ) from exc
     mismatches = [f"{name}: recorded {value}, config {getattr(config, name)}"
                   for name, value in echo.items() if value != getattr(config, name)]
@@ -246,13 +242,16 @@ def verify_artifacts(events_path, config: ScenarioConfig, artifact_dir=None) -> 
     heatmaps = [out / f"heatmap_robot_{i}.csv" for i in range(2, config.n_robots + 1)]
     _require(out / "heatmap_total.csv", *heatmaps)
     i_g, i_w, counts = replay_events(read_events(events_path), config)
-    if not _close(recorded_ig, i_g):
-        mismatches.append(f"I_G: recorded {row['I_G']}, replay {i_g!r}")
-    if recorded_iw != i_w:
-        mismatches.append(f"I_W: recorded {row['I_W']}, replay {i_w}")
-    norm = (config.n_robots - 1) / config.K
-    if not _close(recorded_norm, i_g * norm):
-        mismatches.append(f"norm_I_G: recorded {row['norm_I_G']}, replay {i_g * norm!r}")
+    replay = {"I_G": i_g, "I_W": i_w,
+              "norm_I_G": normalize(i_g, config.n_robots, config.K),
+              "norm_I_W": normalize(i_w, config.n_robots, config.K)}
+    for name, value in replay.items():
+        if isinstance(value, int):  # I_W matches exactly, the reals within _close
+            same = recorded_metrics[name] == value
+        else:
+            same = _close(recorded_metrics[name], value)
+        if not same:
+            mismatches.append(f"{name}: recorded {row[name]}, replay {value!r}")
 
     shape = (config.height_grids, config.width_grids)
     for robot_id, path in enumerate(heatmaps, start=2):

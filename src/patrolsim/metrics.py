@@ -2,7 +2,11 @@
 
 Instantaneous values are sampled at the end of each timestep (after visit
 resets), accumulated only from the warm-up step onward. The unfiltered time
-series is kept for plotting regardless of warm-up.
+series is kept for plotting regardless of warm-up, one list per
+`SERIES_KEYS` entry. `finalize` turns the accumulator into (I_G, I_W, D_MSA,
+D_WSA). `normalize` (by N-1, for metrics.csv and `verify`) and
+`normalize_active` (by the operational patrollers, for timeseries.csv)
+scale a metric by a patroller count over K.
 """
 
 from dataclasses import dataclass, field
@@ -10,8 +14,9 @@ from typing import Dict, List
 
 import numpy as np
 
-from .errors import MetricsError
 from .world import VisitEvent, WorldState
+
+SERIES_KEYS = ("t", "i_g", "i_w", "d_msa", "d_wsa", "n_active")
 
 
 @dataclass
@@ -30,7 +35,7 @@ class MetricsAccumulator:
 
     def __post_init__(self):
         self.visit_counts = np.zeros((self.n_robots, self.K), dtype=np.int64)
-        self.series = {k: [] for k in ("t", "i_g", "i_w", "d_msa", "d_wsa", "n_active")}
+        self.series = {k: [] for k in SERIES_KEYS}
 
 
 def sa_delays(t: int, bs_utimes: np.ndarray) -> np.ndarray:
@@ -43,7 +48,7 @@ def sample_instantaneous(
     bs_utimes: np.ndarray,
     acc: MetricsAccumulator,
     n_active: int,
-) -> MetricsAccumulator:
+) -> None:
     i_g = float(world.idleness.mean())
     i_w = int(world.idleness.max())
     d = sa_delays(world.t, bs_utimes)
@@ -63,20 +68,18 @@ def sample_instantaneous(
         s["d_msa"].append(d_msa)
         s["d_wsa"].append(d_wsa)
         s["n_active"].append(n_active)
-    return acc
 
 
-def record_visit(acc: MetricsAccumulator, event: VisitEvent) -> MetricsAccumulator:
+def record_visit(acc: MetricsAccumulator, event: VisitEvent) -> None:
     acc.visit_counts[event.robot_id - 1, event.grid] += 1
-    return acc
 
 
 def finalize(acc: MetricsAccumulator):
-    """(I_G, I_W, D_MSA, D_WSA) over the sampled (post-warm-up) window."""
-    if acc.samples == 0:
-        raise MetricsError(
-            f"no samples at or after warm-up t0={acc.warmup_t0}; mission too short"
-        )
+    """(I_G, I_W, D_MSA, D_WSA) over the sampled (post-warm-up) window.
+
+    The accumulator must hold at least one sample. A finished mission always
+    does: `ScenarioConfig.validate` rejects `warmup_t0 > mission_steps`.
+    """
     return (
         acc.sum_ig / acc.samples,
         acc.max_iw,

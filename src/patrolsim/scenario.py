@@ -108,6 +108,11 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"strategy must be one of {strategy.STRATEGIES}, got {self.strategy!r}"
             )
+        if self.strategy == strategy.RANDOM_WALK and self.K == 1:
+            raise ConfigurationError(
+                "strategy random needs a map of at least 2 cells: "
+                "the only cell of a 1x1 map has no neighbour to walk to"
+            )
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         if self.seed < 0:
@@ -332,25 +337,12 @@ class Simulation:
         return self._result()
 
     def _result(self) -> "TrialResult":
-        cfg = self.config
-        i_g, i_w, d_msa, d_wsa = metrics.finalize(self.metrics)
-        norm = {
-            "I_G": metrics.normalize(i_g, cfg.n_robots, cfg.K),
-            "I_W": metrics.normalize(i_w, cfg.n_robots, cfg.K),
-            "D_MSA": metrics.normalize(d_msa, cfg.n_robots, cfg.K),
-            "D_WSA": metrics.normalize(d_wsa, cfg.n_robots, cfg.K),
-        }
-        series = {k: np.asarray(v) for k, v in self.metrics.series.items()}
         return TrialResult(
-            config=cfg,
-            seed=self.seed,
-            I_G=i_g,
-            I_W=i_w,
-            D_MSA=d_msa,
-            D_WSA=d_wsa,
-            normalized=norm,
+            self.config,
+            self.seed,
+            *metrics.finalize(self.metrics),
             visit_counts=self.metrics.visit_counts.copy(),
-            series=series,
+            series={k: np.asarray(v) for k, v in self.metrics.series.items()},
             events=list(self.events),
         )
 
@@ -363,22 +355,15 @@ class TrialResult:
     I_W: int
     D_MSA: float
     D_WSA: int
-    normalized: Dict[str, float]
     visit_counts: np.ndarray            # (N, K); row 0 (the BS) stays zero
     series: Dict[str, np.ndarray]
     events: List[VisitEvent]
 
     def metric_row(self) -> Dict[str, float]:
-        return {
-            "I_G": self.I_G,
-            "I_W": self.I_W,
-            "D_MSA": self.D_MSA,
-            "D_WSA": self.D_WSA,
-            "norm_I_G": self.normalized["I_G"],
-            "norm_I_W": self.normalized["I_W"],
-            "norm_D_MSA": self.normalized["D_MSA"],
-            "norm_D_WSA": self.normalized["D_WSA"],
-        }
+        """The four metrics, then each scaled by (N-1)/K as `norm_<name>`."""
+        raw = {"I_G": self.I_G, "I_W": self.I_W, "D_MSA": self.D_MSA, "D_WSA": self.D_WSA}
+        n, K = self.config.n_robots, self.config.K
+        return {**raw, **{f"norm_{k}": metrics.normalize(v, n, K) for k, v in raw.items()}}
 
     def event_digest(self) -> str:
         h = hashlib.sha256()
@@ -419,9 +404,10 @@ def run_batch(
 
 
 def summarize(results: List[TrialResult]) -> Dict[str, Dict[str, float]]:
+    rows = [r.metric_row() for r in results]
     summary: Dict[str, Dict[str, float]] = {}
-    for key in results[0].metric_row():
-        vals = np.array([r.metric_row()[key] for r in results], dtype=np.float64)
+    for key in rows[0]:
+        vals = np.array([row[key] for row in rows], dtype=np.float64)
         summary[key] = {
             "mean": float(vals.mean()),
             "min": float(vals.min()),

@@ -78,10 +78,9 @@ def new_world(K: int) -> WorldState:
     return WorldState(0, np.zeros(K, dtype=np.int64))
 
 
-def advance_time(world: WorldState) -> WorldState:
+def advance_time(world: WorldState) -> None:
     world.t += 1
     world.idleness += 1
-    return world
 
 
 class VisitEvent(NamedTuple):
@@ -103,11 +102,8 @@ def detect_patrol_completions(
     yield several events but a single reset.
     """
     events: List[VisitEvent] = []
-    if len(positions) == 0:
-        return events
     rows, grids = kernels.completions(positions, grid_map.centers, rho)
     for r, g in zip(rows, grids):
         events.append(VisitEvent(int(robot_ids[r]), int(g), world.t))
-    if len(grids):
-        world.idleness[grids] = 0
+    world.idleness[grids] = 0
     return events

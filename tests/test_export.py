@@ -94,7 +94,7 @@ class TestArtifacts:
         assert int(row["seed"]) == result.seed
         assert float(row["I_G"]) == result.I_G
         assert int(row["I_W"]) == result.I_W
-        assert float(row["norm_D_MSA"]) == result.normalized["D_MSA"]
+        assert float(row["norm_D_MSA"]) == result.metric_row()["norm_D_MSA"]
 
     def test_timeseries_length(self, trial):
         _, out = trial
@@ -207,9 +207,12 @@ class TestCli:
         ("heatmap_robot_4.csv", lambda text: "9" * 200_000 + text),
         ("metrics.csv", lambda text: text.replace(",K,", ",k,", 1)),
         ("metrics.csv", lambda text: _set_metric(text, "bandwidth_s", "64.0")),
+        ("metrics.csv", lambda text: text.replace(",norm_I_W,", ",norm_I_w,", 1)),
+        ("metrics.csv", lambda text: _set_metric(text, "norm_I_W", "abc")),
     ], ids=["no-I_G-column", "non-numeric-I_W", "cell-x", "ragged-row",
             "metrics-field-over-csv-limit", "heatmap-field-over-csv-limit",
-            "no-K-column", "non-integer-bandwidth_s"])
+            "no-K-column", "non-integer-bandwidth_s", "no-norm_I_W-column",
+            "non-numeric-norm_I_W"])
     def test_verify_malformed_csv_exit_3(self, trial, tmp_path, capsys, name, tamper):
         events = _copy_trial(trial, tmp_path)
         path = tmp_path / name
@@ -219,6 +222,16 @@ class TestCli:
         assert _cli_verify(events, tmp_path) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["I_G", "I_W", "norm_I_G", "norm_I_W"])
+    def test_verify_tampered_metric_exit_3(self, trial, tmp_path, capsys, name):
+        events = _copy_trial(trial, tmp_path)
+        path = tmp_path / "metrics.csv"
+        path.write_text(_set_metric(path.read_text(), name, "1"))
+        [line] = verify_artifacts(events, CFG)
+        assert line.startswith(f"{name}: recorded 1, replay ")
+        assert _cli_verify(events, tmp_path) == 3
+        assert capsys.readouterr().err == f"MISMATCH {line}\n"
 
     @pytest.mark.parametrize("name, tamper", [
         ("events.log", lambda data: data + b"\xff\xfe"),
@@ -279,6 +292,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_random_walk_on_one_cell_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "mission.cfg"
+        cfg_path.write_text("width_grids = 1\nheight_grids = 1\n"
+                            "mission_steps = 100\nwarmup_t0 = 50\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--strategy", "random",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: strategy random")
+        assert err.count("\n") == 1 and not out.exists()
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"

@@ -75,6 +75,14 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=match):
             Simulation(cfg, 1)
 
+    def test_random_walk_needs_two_cells(self):
+        one_cell = replace(SMALL, width_grids=1, height_grids=1, mission_steps=150,
+                           warmup_t0=50)
+        with pytest.raises(ConfigurationError, match="strategy random"):
+            Simulation(replace(one_cell, strategy="random"), 1)
+        for name in ("lr-pt", "er"):
+            assert run_trial(replace(one_cell, strategy=name), 1).I_W >= 0
+
     def test_negative_trial_seed_rejected(self):
         # numpy's generator would raise ValueError; the seed argument is
         # checked like a config field
@@ -204,12 +212,15 @@ class TestFailureSchedule:
         assert sim.p[2] <= 1.0 and sim.p[3] <= 1.0
 
     def test_no_events_from_failed_robots(self):
-        cfg = replace(SMALL, fail_fraction=0.5, fail_at=100, recover_at=200,
-                      mission_steps=300, warmup_t0=10)
-        r = run_trial(cfg, 3)
-        for ev in r.events:
-            if 100 <= ev.time < 200:
-                assert ev.robot_id not in (3, 4)
+        # at fail_fraction 1.0 every patroller is down from t = 100 to 199
+        for fail_fraction, failed in ((0.5, (3, 4)), (1.0, (2, 3, 4))):
+            cfg = replace(SMALL, fail_fraction=fail_fraction, fail_at=100,
+                          recover_at=200, mission_steps=300, warmup_t0=10)
+            r = run_trial(cfg, 3)
+            for ev in r.events:
+                if 100 <= ev.time < 200:
+                    assert ev.robot_id not in failed
+            assert any(ev.time >= 200 for ev in r.events)
 
 
 class TestBatchAndSweep:
