@@ -1,6 +1,7 @@
 """Command-line entry point: run / batch / sweep / verify."""
 
 import argparse
+import csv
 import os
 import sys
 from dataclasses import fields, replace
@@ -134,20 +135,17 @@ def _cmd_sweep(args) -> int:
         base_seed,
         workers=args.workers,
     )
-    header = ["eta", "p_max", "sigma", "mean_I_G", "mean_I_W",
-              "mean_norm_I_G", "mean_norm_I_W"]
+    header = list(rows[0])
     print("\t".join(header))
     for row in rows:
         print("\t".join(f"{row[k]:.6g}" for k in header))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        import csv
-
         with open(out / "sweep.csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=header)
             writer.writeheader()
-            writer.writerows({k: row[k] for k in header} for row in rows)
+            writer.writerows(rows)
         print(f"sweep table written to {out / 'sweep.csv'}")
     return EXIT_OK
 

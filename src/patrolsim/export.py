@@ -27,7 +27,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .errors import VerificationError
-from .metrics import SERIES_KEYS, normalize, normalize_active
+from .metrics import SERIES_KEYS, normalize
 from .scenario import ScenarioConfig, TrialResult
 from .world import VisitEvent
 
@@ -86,8 +86,8 @@ def write_run_artifacts(result: TrialResult, out_dir) -> List[Path]:
         writer.writerow(TIMESERIES_FIELDS)
         writer.writerows(
             [_fmt(v) for v in (t, i_g, i_w, d_msa, d_wsa, n_active,
-                               normalize_active(i_g, n_active, cfg.K),
-                               normalize_active(d_msa, n_active, cfg.K))]
+                               normalize(i_g, n_active, cfg.K),
+                               normalize(d_msa, n_active, cfg.K))]
             for t, i_g, i_w, d_msa, d_wsa, n_active in zip(*columns)
         )
     written.append(path)
@@ -242,9 +242,10 @@ def verify_artifacts(events_path, config: ScenarioConfig, artifact_dir=None) -> 
     heatmaps = [out / f"heatmap_robot_{i}.csv" for i in range(2, config.n_robots + 1)]
     _require(out / "heatmap_total.csv", *heatmaps)
     i_g, i_w, counts = replay_events(read_events(events_path), config)
+    patrollers = config.n_robots - 1
     replay = {"I_G": i_g, "I_W": i_w,
-              "norm_I_G": normalize(i_g, config.n_robots, config.K),
-              "norm_I_W": normalize(i_w, config.n_robots, config.K)}
+              "norm_I_G": normalize(i_g, patrollers, config.K),
+              "norm_I_W": normalize(i_w, patrollers, config.K)}
     for name, value in replay.items():
         if isinstance(value, int):  # I_W matches exactly, the reals within _close
             same = recorded_metrics[name] == value

@@ -4,9 +4,9 @@ Instantaneous values are sampled at the end of each timestep (after visit
 resets), accumulated only from the warm-up step onward. The unfiltered time
 series is kept for plotting regardless of warm-up, one list per
 `SERIES_KEYS` entry. `finalize` turns the accumulator into (I_G, I_W, D_MSA,
-D_WSA). `normalize` (by N-1, for metrics.csv and `verify`) and
-`normalize_active` (by the operational patrollers, for timeseries.csv)
-scale a metric by a patroller count over K.
+D_WSA). `normalize` scales a metric by a patroller count over K: N-1 for
+metrics.csv and `verify`, the operational patrollers at t for
+timeseries.csv.
 """
 
 from dataclasses import dataclass, field
@@ -88,11 +88,6 @@ def finalize(acc: MetricsAccumulator):
     )
 
 
-def normalize(metric: float, n_robots: int, K: int) -> float:
-    """Scale by (N-1)/K; the BS does not patrol."""
-    return metric * (n_robots - 1) / K
-
-
-def normalize_active(metric: float, n_active: int, K: int) -> float:
-    """Failure-phase variant: scale by the operational patroller count."""
-    return metric * n_active / K
+def normalize(metric: float, patrollers: int, K: int) -> float:
+    """Scale by patrollers/K; the BS does not patrol, so it is never counted."""
+    return metric * patrollers / K

@@ -176,6 +176,8 @@ def parse_config(path) -> ScenarioConfig:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigurationError(f"{path}:{lineno}: {key!r} is set twice")
         values[key] = _parse_value(key, raw)
     return ScenarioConfig(**values)
 
@@ -239,17 +241,15 @@ class Simulation:
         cfg = self.config
         cur = self.grid_map.cell_of(self.pos[i])
         if cfg.strategy == strategy.LR_PT:
-            sel = strategy.select_patrol_target(
-                self.pos[i], cur, self.assumed[i], self.p[i], self.grid_map,
+            target = strategy.select_patrol_target(
+                self.pos[i], self.assumed[i], self.p[i], self.grid_map,
                 cfg.delta, cfg.v_max, cfg.p_max, cfg.sigma,
             )
         elif cfg.strategy == strategy.EXPECTED_REACTIVE:
-            sel = strategy.er_select(
-                self.pos[i], cur, self.assumed[i], self.grid_map, cfg.v_max
-            )
+            target = strategy.er_select(self.pos[i], self.assumed[i], self.grid_map, cfg.v_max)
         else:
-            sel = strategy.random_select(cur, self.grid_map, self.rng)
-        self.temp[i] = sel.temporary_grid
+            target = strategy.random_select(cur, self.grid_map, self.rng)
+        self.temp[i] = strategy.temporary_target(cur, target, self.grid_map)
 
     def step(self) -> List[VisitEvent]:
         self._clock()
@@ -288,7 +288,7 @@ class Simulation:
         gmap = self.grid_map
         mover = holonomic_step if self.config.holonomic else step_toward
         for i in range(1, self.config.n_robots):
-            if not self.alive[i] or self.temp[i] < 0:
+            if not self.alive[i]:
                 continue
             wx, wy = gmap.centers[self.temp[i]]
             x, y, th = mover(
@@ -362,8 +362,9 @@ class TrialResult:
     def metric_row(self) -> Dict[str, float]:
         """The four metrics, then each scaled by (N-1)/K as `norm_<name>`."""
         raw = {"I_G": self.I_G, "I_W": self.I_W, "D_MSA": self.D_MSA, "D_WSA": self.D_WSA}
-        n, K = self.config.n_robots, self.config.K
-        return {**raw, **{f"norm_{k}": metrics.normalize(v, n, K) for k, v in raw.items()}}
+        patrollers, K = self.config.n_robots - 1, self.config.K
+        return {**raw,
+                **{f"norm_{k}": metrics.normalize(v, patrollers, K) for k, v in raw.items()}}
 
     def event_digest(self) -> str:
         h = hashlib.sha256()

@@ -4,12 +4,11 @@ The main strategy scores each candidate grid by
 ``alpha * (assumed_idleness + travel_steps) / travel_steps`` where alpha is
 a Gaussian in the grid's Chebyshev coordinate centered at p_max - p: a robot
 with a pressing need to report favors grids near the origin corner (the BS),
-an unburdened one favors the far field. The chosen target is approached one
-adjacent grid at a time; each temporary-target completion triggers a fresh
+an unburdened one favors the far field. Each strategy returns its target
+grid; the scenario approaches it one adjacent grid at a time through
+`temporary_target`, and each temporary-target completion triggers a fresh
 selection.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,12 +19,6 @@ LR_PT = "lr-pt"
 EXPECTED_REACTIVE = "er"
 RANDOM_WALK = "random"
 STRATEGIES = (LR_PT, EXPECTED_REACTIVE, RANDOM_WALK)
-
-
-@dataclass
-class TargetSelection:
-    target_grid: int
-    temporary_grid: int
 
 
 def candidate_grids(position, delta: float, grid_map: GridMap) -> np.ndarray:
@@ -60,7 +53,6 @@ def _evaluate(position, cand, assumed, p, p_max, sigma, v_max, grid_map, use_alp
 
 def select_patrol_target(
     position,
-    current_grid: int,
     assumed: np.ndarray,
     p: float,
     grid_map: GridMap,
@@ -68,33 +60,24 @@ def select_patrol_target(
     v_max: float,
     p_max: float,
     sigma: float,
-) -> TargetSelection:
+) -> int:
     """Argmax of the utility over the delta-ball of grids, ties to smaller index."""
     cand = candidate_grids(position, delta, grid_map)
     util = _evaluate(position, cand, assumed, p, p_max, sigma, v_max, grid_map, True)
-    target = int(cand[int(np.argmax(util))])
-    return TargetSelection(target, temporary_target(current_grid, target, grid_map))
+    return int(cand[int(np.argmax(util))])
 
 
-def er_select(
-    position,
-    current_grid: int,
-    assumed: np.ndarray,
-    grid_map: GridMap,
-    v_max: float,
-) -> TargetSelection:
+def er_select(position, assumed: np.ndarray, grid_map: GridMap, v_max: float) -> int:
     """Reconstructed idleness/travel-cost baseline: alpha == 1, all K grids."""
     cand = np.arange(grid_map.K, dtype=np.int64)
     util = _evaluate(position, cand, assumed, 0.0, 0.0, 1.0, v_max, grid_map, False)
-    target = int(np.argmax(util))
-    return TargetSelection(target, temporary_target(current_grid, target, grid_map))
+    return int(np.argmax(util))
 
 
-def random_select(current_grid: int, grid_map: GridMap, rng) -> TargetSelection:
+def random_select(current_grid: int, grid_map: GridMap, rng) -> int:
     """Sanity baseline: a uniformly random adjacent grid."""
     neigh = grid_map.neighbors8(current_grid)
-    target = int(neigh[rng.integers(len(neigh))])
-    return TargetSelection(target, target)
+    return int(neigh[rng.integers(len(neigh))])
 
 
 def temporary_target(current_grid: int, target_grid: int, grid_map: GridMap) -> int:

@@ -48,7 +48,7 @@ class GridMap:
                 nx, ny = ix + dx, iy + dy
                 if 0 <= nx < self.width and 0 <= ny < self.height:
                     out.append(self.cell_index(nx, ny))
-        return np.array(sorted(out), dtype=np.int64)
+        return np.array(out, dtype=np.int64)
 
 
 def build_grid_map(width_grids: int, height_grids: int, grid_size: float) -> GridMap:

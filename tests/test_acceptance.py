@@ -200,8 +200,7 @@ def test_05_selection_matches_brute_force(gmap20):
         pos = rng.uniform(0, 600, 2)
         assumed = rng.integers(0, 5000, gmap20.K)
         p = float(rng.uniform(0, p_max * 1.4))
-        sel = select_patrol_target(pos, gmap20.cell_of(pos), assumed, p,
-                                   gmap20, delta, v_max, p_max, sigma)
+        target = select_patrol_target(pos, assumed, p, gmap20, delta, v_max, p_max, sigma)
         best, best_u = -1, -1.0
         for k in candidate_grids(pos, delta, gmap20):
             dt = expected_travel_time(pos, k, v_max, gmap20)
@@ -209,7 +208,7 @@ def test_05_selection_matches_brute_force(gmap20):
                              adjustment_alpha(k, p, p_max, sigma, gmap20))
             if u > best_u:
                 best, best_u = int(k), u
-        if sel.target_grid != best:
+        if target != best:
             mismatches += 1
     report(5, "selection equals exhaustive argmax", mismatches == 0,
            f"{mismatches}/1000 mismatches")

@@ -146,6 +146,13 @@ class TestCli:
         bad.write_text("nonsense = 1\n")
         assert main(["run", "--config", str(bad)]) == 2
 
+    def test_repeated_key_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("n_robots = 5\nn_robots = 4\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "'n_robots' is set twice" in err and err.count("\n") == 1
+
     def test_unknown_flag_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--bogus"])

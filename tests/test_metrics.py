@@ -5,7 +5,6 @@ from patrolsim.metrics import (
     MetricsAccumulator,
     finalize,
     normalize,
-    normalize_active,
     record_visit,
     sa_delays,
     sample_instantaneous,
@@ -70,13 +69,13 @@ class TestFinalize:
 
 class TestNormalize:
     def test_scaling_formula(self):
-        assert normalize(500.0, 5, 400) == pytest.approx(5.0)
+        assert normalize(500.0, 4, 400) == pytest.approx(5.0)
 
     def test_zero(self):
-        assert normalize(0.0, 5, 400) == 0.0
+        assert normalize(0.0, 4, 400) == 0.0
 
     def test_active_variant(self):
-        assert normalize_active(400.0, 7, 400) == pytest.approx(7.0)
+        assert normalize(400.0, 7, 400) == pytest.approx(7.0)
 
     def test_linearity(self):
         m = 123.456

@@ -53,6 +53,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="unknown key"):
             parse_config(path)
 
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("n_robots = 5\neta = 0.5\nn_robots = 4\n")
+        with pytest.raises(ConfigurationError, match=r":3: 'n_robots' is set twice"):
+            parse_config(path)
+
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("n_robots = many\n")
@@ -124,9 +130,14 @@ class TestInitMission:
         result = run_trial(cfg, 1)
         assert result.I_G > 0
 
-    def test_initial_targets_selected(self):
-        sim = Simulation(SMALL, 2)
-        assert (sim.temp[1:] >= 0).all()
+    @pytest.mark.parametrize("strategy", ["lr-pt", "er", "random"])
+    def test_initial_targets_selected(self, strategy):
+        # every patroller heads for its own cell or one of its 8 neighbours
+        sim = Simulation(replace(SMALL, strategy=strategy), 2)
+        gmap = sim.grid_map
+        for i in range(1, SMALL.n_robots):
+            cur = gmap.cell_of(sim.pos[i])
+            assert sim.temp[i] == cur or sim.temp[i] in gmap.neighbors8(cur)
 
     def test_no_bs_contact_before_first_broadcast(self):
         # every patroller starts within d_c of the BS, but nothing has been

@@ -105,40 +105,38 @@ class TestSelectPatrolTarget:
             pos = rng.uniform(0, 600, 2)
             assumed = rng.integers(0, 5000, gmap20.K)
             p = float(rng.uniform(0, p_max * 1.4))
-            sel = select_patrol_target(
-                pos, gmap20.cell_of(pos), assumed, p, gmap20,
-                delta, v_max, p_max, sigma,
+            target = select_patrol_target(
+                pos, assumed, p, gmap20, delta, v_max, p_max, sigma,
             )
             cand = candidate_grids(pos, delta, gmap20)
-            assert sel.target_grid == brute_force_target(
+            assert target == brute_force_target(
                 pos, cand, assumed, p, p_max, sigma, v_max, gmap20
             )
 
     def test_single_candidate(self, gmap20):
         assumed = np.zeros(gmap20.K, dtype=np.int64)
-        sel = select_patrol_target(
-            (16.0, 14.0), 0, assumed, 0.0, gmap20, 0.5, 1.5, 703.0, 304.0
+        target = select_patrol_target(
+            (16.0, 14.0), assumed, 0.0, gmap20, 0.5, 1.5, 703.0, 304.0
         )
-        assert sel.target_grid == 0
+        assert target == 0
 
     def test_tie_breaks_to_smaller_index(self):
         gmap = build_grid_map(3, 1, 10.0)
         assumed = np.zeros(3, dtype=np.int64)
         # symmetric position between cells 0 and 2, huge sigma flattens alpha
-        sel = select_patrol_target(
-            (15.0, 5.0), 1, assumed, 0.0, gmap, 100.0, 1.5, 0.0, 1e9
+        target = select_patrol_target(
+            (15.0, 5.0), assumed, 0.0, gmap, 100.0, 1.5, 0.0, 1e9
         )
-        assert sel.target_grid == 0
+        assert target == 0
 
     def test_locality(self, gmap20, rng):
         for _ in range(50):
             pos = rng.uniform(0, 600, 2)
             assumed = rng.integers(0, 5000, gmap20.K)
-            sel = select_patrol_target(
-                pos, gmap20.cell_of(pos), assumed, 100.0, gmap20,
-                180.0, 1.5, 703.0, 304.0,
+            target = select_patrol_target(
+                pos, assumed, 100.0, gmap20, 180.0, 1.5, 703.0, 304.0,
             )
-            c = gmap20.centers[sel.target_grid]
+            c = gmap20.centers[target]
             assert math.hypot(c[0] - pos[0], c[1] - pos[1]) <= 180.0
 
     def test_reporter_pull_monotone(self, gmap20):
@@ -182,14 +180,13 @@ class TestERSelect:
     def test_uniform_idleness_prefers_near(self, gmap20):
         assumed = np.full(gmap20.K, 500, dtype=np.int64)
         pos = (315.0, 315.0)
-        sel = er_select(pos, gmap20.cell_of(pos), assumed, gmap20, 1.5)
-        assert sel.target_grid == gmap20.cell_of(pos)
+        assert er_select(pos, assumed, gmap20, 1.5) == gmap20.cell_of(pos)
 
     def test_matches_exhaustive_oracle(self, gmap20, rng):
         for _ in range(50):
             pos = rng.uniform(0, 600, 2)
             assumed = rng.integers(0, 50000, gmap20.K)
-            sel = er_select(pos, gmap20.cell_of(pos), assumed, gmap20, 1.5)
+            target = er_select(pos, assumed, gmap20, 1.5)
             cand = np.arange(gmap20.K)
             expected = brute_force_target(pos, cand, assumed, 0.0, 0.0, 1.0, 1.5, gmap20)
             # alpha == 1 oracle
@@ -199,12 +196,11 @@ class TestERSelect:
                 u = grid_utility(assumed[k], dt, 1.0)
                 if u > best_u:
                     best, best_u = k, u
-            assert sel.target_grid == best
+            assert target == best
 
     def test_single_grid_map(self):
         gmap = build_grid_map(1, 1, 30.0)
-        sel = er_select((20.0, 20.0), 0, np.zeros(1, dtype=np.int64), gmap, 1.5)
-        assert sel.target_grid == 0
+        assert er_select((20.0, 20.0), np.zeros(1, dtype=np.int64), gmap, 1.5) == 0
 
 
 class TestTemporaryTarget:
@@ -248,5 +244,5 @@ class TestRandomSelect:
         cur = gmap20.cell_index(10, 10)
         s1 = random_select(cur, gmap20, rng1)
         s2 = random_select(cur, gmap20, rng2)
-        assert s1.target_grid == s2.target_grid
-        assert s1.target_grid in gmap20.neighbors8(cur)
+        assert s1 == s2
+        assert s1 in gmap20.neighbors8(cur)
