@@ -2,9 +2,10 @@
 
 Callers reach them through the module attribute (``kernels.top_s(...)``),
 never by from-import, so a profiler can wrap each one in place. Float results
-use numpy's ufuncs (``np.exp``, ``np.ceil``); on some builds these differ
-from the ``math`` module in the last ulp, so golden digests are exact per
-numpy build and CPU.
+use numpy's ufuncs (``np.ceil`` here, ``np.exp`` in the Gaussian pull that
+`strategy.select_patrol_target` applies to `utilities`); on some builds these
+differ from the ``math`` module in the last ulp, so golden digests are exact
+per numpy build and CPU. `utilities` has no mode: lr-pt and er share it.
 
 Squared distances, here and in `comms` and `strategy`, are computed as
 ``dx * dx + dy * dy`` from split x and y columns. A numpy reduce over a
@@ -48,12 +49,8 @@ def top_s(utime, s):
     return order[:s]
 
 
-def utilities(assumed, dists, cheb, p, p_max, sigma, v_max, use_alpha):
-    """Per-candidate utility alpha * (i + delta) / delta with delta >= 1."""
+def utilities(assumed, dists, v_max):
+    """Per-candidate utility (i + delta) / delta with delta = max(1, ceil(d / v_max))."""
     delta = np.ceil(dists / v_max)
     np.maximum(delta, 1.0, out=delta)
-    u = (assumed + delta) / delta
-    if use_alpha:
-        d = cheb - (p_max - p)
-        u = u * np.exp(-(d * d) / (2.0 * sigma * sigma))
-    return u
+    return (assumed + delta) / delta

@@ -377,11 +377,6 @@ def run_trial(config: ScenarioConfig, seed: int, record_series: bool = True) -> 
     return Simulation(config, seed, record_series).run()
 
 
-def _batch_worker(args) -> TrialResult:
-    config, seed, record_series = args
-    return run_trial(config, seed, record_series)
-
-
 def run_batch(
     config: ScenarioConfig,
     trials: int,
@@ -389,17 +384,20 @@ def run_batch(
     workers: int = 1,
     record_series: bool = True,
 ) -> Tuple[List[TrialResult], Dict[str, Dict[str, float]]]:
-    """Independent trials with seeds base_seed..base_seed+trials-1."""
+    """Independent trials with seeds base_seed..base_seed+trials-1, on at most
+    `trials` worker processes (serially when that is 1)."""
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    jobs = [(config, base_seed + i, record_series) for i in range(trials)]
+    jobs = (itertools.repeat(config), range(base_seed, base_seed + trials),
+            itertools.repeat(record_series))
+    workers = min(workers, trials)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_batch_worker, jobs))
+            results = list(pool.map(run_trial, *jobs))
     else:
-        results = [_batch_worker(job) for job in jobs]
+        results = list(map(run_trial, *jobs))
     summary = summarize(results)
     return results, summary
 

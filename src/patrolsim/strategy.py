@@ -4,10 +4,15 @@ The main strategy scores each candidate grid by
 ``alpha * (assumed_idleness + travel_steps) / travel_steps`` where alpha is
 a Gaussian in the grid's Chebyshev coordinate centered at p_max - p: a robot
 with a pressing need to report favors grids near the origin corner (the BS),
-an unburdened one favors the far field. Each strategy returns its target
-grid; the scenario approaches it one adjacent grid at a time through
-`temporary_target`, and each temporary-target completion triggers a fresh
-selection.
+an unburdened one favors the far field. `kernels.utilities` gives the factor
+without alpha, which is all of the ER baseline's score. Each strategy
+returns its target grid; the scenario approaches it one adjacent grid at a
+time through `temporary_target`, which steps by the sign of the coordinate
+difference on each axis. That is the 8-neighbor closest to the target's
+center: the squared distance from neighbor (dx, dy) is
+``g^2 ((a - dx)^2 + (b - dy)^2)`` for integer a and b, and each term has its
+unique minimum at dx = sign(a), dy = sign(b). Each temporary-target
+completion triggers a fresh selection.
 """
 
 import numpy as np
@@ -36,19 +41,10 @@ def candidate_grids(position, delta: float, grid_map: GridMap) -> np.ndarray:
     return idx.astype(np.int64)
 
 
-def _evaluate(position, cand, assumed, p, p_max, sigma, v_max, grid_map, use_alpha):
+def _travel_utilities(position, cand, assumed, grid_map, v_max):
     centers = grid_map.centers[cand]
     dists = np.hypot(centers[:, 0] - position[0], centers[:, 1] - position[1])
-    return kernels.utilities(
-        assumed[cand].astype(np.float64),
-        dists,
-        grid_map.chebyshev[cand],
-        float(p),
-        float(p_max),
-        float(sigma),
-        float(v_max),
-        use_alpha,
-    )
+    return kernels.utilities(assumed[cand], dists, v_max)
 
 
 def select_patrol_target(
@@ -63,14 +59,16 @@ def select_patrol_target(
 ) -> int:
     """Argmax of the utility over the delta-ball of grids, ties to smaller index."""
     cand = candidate_grids(position, delta, grid_map)
-    util = _evaluate(position, cand, assumed, p, p_max, sigma, v_max, grid_map, True)
+    util = _travel_utilities(position, cand, assumed, grid_map, v_max)
+    d = grid_map.chebyshev[cand] - (p_max - p)
+    util = util * np.exp(-(d * d) / (2.0 * sigma * sigma))
     return int(cand[int(np.argmax(util))])
 
 
 def er_select(position, assumed: np.ndarray, grid_map: GridMap, v_max: float) -> int:
     """Reconstructed idleness/travel-cost baseline: alpha == 1, all K grids."""
     cand = np.arange(grid_map.K, dtype=np.int64)
-    util = _evaluate(position, cand, assumed, 0.0, 0.0, 1.0, v_max, grid_map, False)
+    util = _travel_utilities(position, cand, assumed, grid_map, v_max)
     return int(np.argmax(util))
 
 
@@ -81,18 +79,10 @@ def random_select(current_grid: int, grid_map: GridMap, rng) -> int:
 
 
 def temporary_target(current_grid: int, target_grid: int, grid_map: GridMap) -> int:
-    """The adjacent grid on the way to the target.
+    """The adjacent grid on the way to the target: one signed step per axis.
 
-    The target itself when it is the current grid or an 8-neighbor; otherwise
-    the 8-neighbor of the current grid closest (Euclidean) to the target's
-    center, ties to the smaller index.
+    The target itself when it is the current grid or an 8-neighbor.
     """
-    if target_grid == current_grid:
-        return target_grid
-    neigh = grid_map.neighbors8(current_grid)
-    if target_grid in neigh:
-        return target_grid
-    tx, ty = grid_map.centers[target_grid]
-    dx = grid_map.centers[neigh, 0] - tx
-    dy = grid_map.centers[neigh, 1] - ty
-    return int(neigh[int(np.argmin(dx * dx + dy * dy))])
+    cy, cx = divmod(current_grid, grid_map.width)
+    ty, tx = divmod(target_grid, grid_map.width)
+    return grid_map.cell_index(cx + (tx > cx) - (tx < cx), cy + (ty > cy) - (ty < cy))

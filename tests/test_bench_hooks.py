@@ -7,12 +7,17 @@ failure too.
 """
 
 import importlib.util
+import json
 import re
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from patrolsim import scenario
 from patrolsim.scenario import Simulation, parse_config
+
+from test_golden import PINS, _cause
 
 ROOT = Path(__file__).resolve().parent.parent
 CFG = replace(parse_config(ROOT / "configs" / "swarm5.cfg"), mission_steps=60, warmup_t0=10)
@@ -28,13 +33,35 @@ def _load_spans():
     return module
 
 
-def test_traced_mission_matches_untraced(tmp_path):
-    untraced = scenario.run_trial(CFG, 1)
+# Full-bandwidth gossip among five robots: the same for every strategy.
+GOSSIP = {"comms.entries": 472000, "comms.envelopes": 1180, "knowledge.received": 472000,
+          "world.pairs": 96000}
+SELECTORS = ("strategy.select_patrol_target", "strategy.er_select",
+             "strategy.random_select", "kernels.utilities")
+# Per strategy: every `tracer.counts` entry of a traced CFG mission with seed
+# 1, and the number of calls of each selector and of `kernels.utilities`.
+# Recorded on the numpy build and CPU that `golden_pins.json` names.
+TRACED = {
+    "lr-pt": ({**GOSSIP, "knowledge.adopted": 39, "strategy.candidates": 455,
+               "world.events": 31}, (12, 0, 0, 12)),
+    "er": ({**GOSSIP, "knowledge.adopted": 38, "strategy.candidates": 6400,
+            "world.events": 32}, (0, 16, 0, 16)),
+    "random": ({**GOSSIP, "knowledge.adopted": 100, "world.events": 26}, (0, 0, 12, 0)),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(TRACED))
+def test_traced_mission_matches_untraced(tmp_path, strategy):
+    cfg = replace(CFG, strategy=strategy)
+    untraced = scenario.run_trial(cfg, 1)
     with _load_spans().Tracer(tmp_path, full=True) as tracer:
-        traced = scenario.run_trial(CFG, 1)
+        traced = scenario.run_trial(cfg, 1)
     assert traced.event_digest() == untraced.event_digest()
-    assert tracer.counts.get("comms.envelopes", 0) > 0
-    assert tracer.counts.get("knowledge.received", 0) > 0
+    totals = tracer.totals()
+    got = (tracer.counts, tuple(totals[name][0] for name in SELECTORS))
+    if got != TRACED[strategy]:
+        pytest.fail(f"{strategy}: traced counts {got} differ from {TRACED[strategy]}: "
+                    f"{_cause(json.loads(PINS.read_text())['environment'])}")
 
 
 def test_step_runs_phases_in_docstring_order(monkeypatch):

@@ -257,6 +257,35 @@ class TestBatchAndSweep:
         _, batch = run_batch(SMALL, 2, base_seed=8)
         assert single[0]["mean_I_G"] == pytest.approx(batch["I_G"]["mean"])
 
+    def test_batch_starts_at_most_trials_workers(self, monkeypatch):
+        from patrolsim import scenario
+
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        cfg = replace(SMALL, mission_steps=150, warmup_t0=10)
+        serial, _ = run_batch(cfg, 2, base_seed=5)
+        monkeypatch.setattr(scenario, "ProcessPoolExecutor", InProcessPool)
+        pooled, _ = run_batch(cfg, 2, base_seed=5, workers=64)
+        assert pools == [2]
+        single, _ = run_batch(cfg, 1, base_seed=5, workers=4)
+        assert pools == [2]
+        assert [r.metric_row() for r in pooled] == [r.metric_row() for r in serial]
+        assert [r.event_digest() for r in pooled] == [r.event_digest() for r in serial]
+        assert single[0].event_digest() == serial[0].event_digest()
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected_before_any_trial(self, monkeypatch, workers):
         from patrolsim import scenario

@@ -223,18 +223,19 @@ class TestTemporaryTarget:
         tgt = gmap20.cell_index(6, 6)
         assert temporary_target(cur, tgt, gmap20) == tgt
 
-    def test_matches_neighbor_brute_force(self, gmap20, rng):
-        for _ in range(100):
-            cur = int(rng.integers(gmap20.K))
-            tgt = int(rng.integers(gmap20.K))
-            got = temporary_target(cur, tgt, gmap20)
-            neigh = gmap20.neighbors8(cur)
-            if tgt == cur or tgt in neigh:
-                assert got == tgt
-            else:
-                dists = [float(np.hypot(*(gmap20.centers[v] - gmap20.centers[tgt])))
-                         for v in neigh]
-                assert got == neigh[int(np.argmin(dists))]
+    def test_matches_neighbor_brute_force(self):
+        # every (cur, tgt) pair against the closest 8-neighbor by Euclidean
+        # distance to the target's center, ties to the smaller index
+        for shape in ((1, 7, 3.0), (7, 1, 0.1), (3, 5, 12.5), (13, 9, 0.3), (20, 20, 30.0)):
+            gmap = build_grid_map(*shape)
+            for cur in range(gmap.K):
+                neigh = gmap.neighbors8(cur)
+                diff = gmap.centers[neigh, None, :] - gmap.centers[None, :, :]
+                expected = neigh[np.argmin(np.hypot(diff[..., 0], diff[..., 1]), axis=0)]
+                expected[neigh] = neigh
+                expected[cur] = cur
+                got = [temporary_target(cur, tgt, gmap) for tgt in range(gmap.K)]
+                assert got == expected.tolist(), (shape, cur)
 
 
 class TestRandomSelect:
