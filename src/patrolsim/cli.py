@@ -4,12 +4,13 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigurationError, PatrolSimError
 from .export import verify_artifacts, write_metrics_csv, write_run_artifacts
 from .scenario import (
+    FIELD_TYPES,
     ScenarioConfig,
     parameter_sweep,
     parse_config,
@@ -29,23 +30,27 @@ def _styled(text: str, code: str) -> str:
     return f"\x1b[{code}m{text}\x1b[0m"
 
 
-# ScenarioConfig fields that every mission subcommand takes as a flag
+# ScenarioConfig fields that every subcommand takes as a flag
 # (`n_robots` as `--n-robots`), typed like the field
 OVERRIDES = ("strategy", "n_robots", "bandwidth_s", "fail_fraction", "fail_at", "recover_at")
 
 
-def _add_overrides(parser: argparse.ArgumentParser) -> None:
-    types = {f.name: f.type for f in fields(ScenarioConfig)}
-    for name in OVERRIDES:
-        parser.add_argument("--" + name.replace("_", "-"), type=types[name],
-                            choices=STRATEGIES if name == "strategy" else None)
-
-
 def _load_config(args) -> ScenarioConfig:
+    """The config file (or the defaults) with every flag named like a
+    ScenarioConfig field applied on top, validated with the other flags."""
+    for name, value in vars(args).items():
+        # Python 3.11's argparse stores `--flag=--` as [] without calling `type`
+        if isinstance(value, list):
+            flag = "base_seed" if name == "seed" and args.command != "run" else name
+            raise ConfigurationError(f"--{flag.replace('_', '-')} needs one value, got '--'")
     config = parse_config(args.config) if args.config else ScenarioConfig()
-    overrides = {name: getattr(args, name) for name in OVERRIDES
-                 if getattr(args, name) is not None}
-    return replace(config, **overrides).validate()
+    overrides = {name: value for name, value in vars(args).items()
+                 if name in FIELD_TYPES and value is not None}
+    config = replace(config, **overrides).validate()
+    # run_batch checks this too, but only after batch and sweep create --out
+    if getattr(args, "workers", 1) < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {args.workers}")
+    return config
 
 
 def _floats(raw: str):
@@ -62,96 +67,82 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a single trial and write artifacts")
-    p_run.add_argument("--config", help="flat key = value config file")
-    p_run.add_argument("--seed", type=int, default=None)
+    config_flags = argparse.ArgumentParser(add_help=False)
+    config_flags.add_argument("--config", help="flat key = value config file")
+    for name in OVERRIDES:
+        config_flags.add_argument("--" + name.replace("_", "-"), type=FIELD_TYPES[name],
+                                  choices=STRATEGIES if name == "strategy" else None)
+    trial_flags = argparse.ArgumentParser(add_help=False)
+    trial_flags.add_argument("--trials", type=int)
+    trial_flags.add_argument("--base-seed", dest="seed", type=int, metavar="BASE_SEED")
+    trial_flags.add_argument("--workers", type=int, default=1)
+
+    p_run = sub.add_parser("run", parents=[config_flags],
+                           help="run a single trial and write artifacts")
+    p_run.add_argument("--seed", type=int)
     p_run.add_argument("--out", default="out")
-    _add_overrides(p_run)
 
-    p_batch = sub.add_parser("batch", help="run independent seeded trials")
-    p_batch.add_argument("--config")
-    p_batch.add_argument("--trials", type=int, default=None)
-    p_batch.add_argument("--base-seed", type=int, default=None)
+    p_batch = sub.add_parser("batch", parents=[config_flags, trial_flags],
+                             help="run independent seeded trials")
     p_batch.add_argument("--out", default="out")
-    p_batch.add_argument("--workers", type=int, default=1)
-    _add_overrides(p_batch)
 
-    p_sweep = sub.add_parser("sweep", help="sweep eta / p_max / sigma")
-    p_sweep.add_argument("--config")
+    p_sweep = sub.add_parser("sweep", parents=[config_flags, trial_flags],
+                             help="sweep eta / p_max / sigma")
     p_sweep.add_argument("--eta-list", required=True)
     p_sweep.add_argument("--pm-list", required=True)
     p_sweep.add_argument("--sigma-list", required=True)
-    p_sweep.add_argument("--trials", type=int, default=None)
-    p_sweep.add_argument("--base-seed", type=int, default=None)
     p_sweep.add_argument("--out", default=None, help="optional sweep.csv directory")
-    p_sweep.add_argument("--workers", type=int, default=1)
-    _add_overrides(p_sweep)
 
-    p_verify = sub.add_parser("verify", help="replay events.log against a config")
+    p_verify = sub.add_parser("verify", parents=[config_flags],
+                              help="replay events.log against a config")
     p_verify.add_argument("events", help="path to events.log")
-    p_verify.add_argument("--config")
-    _add_overrides(p_verify)
     return parser
 
 
-def _cmd_run(args) -> int:
-    config = _load_config(args)
-    seed = args.seed if args.seed is not None else config.seed
-    result = run_trial(config, seed)
+def _cmd_run(args, config) -> int:
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    result = run_trial(config, config.seed)
     write_run_artifacts(result, args.out)
-    print(f"trial seed={seed}: " + "  ".join(
+    print(f"trial seed={config.seed}: " + "  ".join(
         f"{k}={v:.4f}" for k, v in result.metric_row().items()))
     print(f"artifacts written to {args.out}")
     return EXIT_OK
 
 
-def _cmd_batch(args) -> int:
-    config = _load_config(args)
-    trials = args.trials if args.trials is not None else config.trials
-    base_seed = args.base_seed if args.base_seed is not None else config.seed
-    results, summary = run_batch(config, trials, base_seed, workers=args.workers)
+def _cmd_batch(args, config) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    results, summary = run_batch(config, config.trials, config.seed, workers=args.workers)
     write_metrics_csv(results, out / "metrics.csv")
     for idx, result in enumerate(results):
         write_run_artifacts(result, out / f"trial_{idx:03d}")
     for key, stats in summary.items():
         print(f"{key}: mean={stats['mean']:.4f} min={stats['min']:.4f} "
               f"max={stats['max']:.4f}")
-    print(f"{trials} trials written to {out}")
+    print(f"{config.trials} trials written to {out}")
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    config = _load_config(args)
-    trials = args.trials if args.trials is not None else config.trials
-    base_seed = args.base_seed if args.base_seed is not None else config.seed
-    rows = parameter_sweep(
-        config,
-        _floats(args.eta_list),
-        _floats(args.pm_list),
-        _floats(args.sigma_list),
-        trials,
-        base_seed,
-        workers=args.workers,
-    )
+def _cmd_sweep(args, config) -> int:
+    grid = [_floats(raw) for raw in (args.eta_list, args.pm_list, args.sigma_list)]
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    rows = parameter_sweep(config, *grid, config.trials, config.seed, workers=args.workers)
     header = list(rows[0])
     print("\t".join(header))
     for row in rows:
         print("\t".join(f"{row[k]:.6g}" for k in header))
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "sweep.csv", "w", newline="") as fh:
+        path = Path(args.out) / "sweep.csv"
+        with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=header)
             writer.writeheader()
             writer.writerows(rows)
-        print(f"sweep table written to {out / 'sweep.csv'}")
+        print(f"sweep table written to {path}")
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    config = _load_config(args)
+def _cmd_verify(args, config) -> int:
     mismatches = verify_artifacts(args.events, config)
     if mismatches:
         for line in mismatches:
@@ -162,16 +153,11 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "batch": _cmd_batch,
-        "sweep": _cmd_sweep,
-        "verify": _cmd_verify,
-    }
+    args = build_parser().parse_args(argv)
+    handlers = {"run": _cmd_run, "batch": _cmd_batch, "sweep": _cmd_sweep,
+                "verify": _cmd_verify}
     try:
-        return handlers[args.command](args)
+        return handlers[args.command](args, _load_config(args))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

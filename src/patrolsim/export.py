@@ -111,9 +111,7 @@ def write_run_artifacts(result: TrialResult, out_dir) -> List[Path]:
 
 def _write_matrix(matrix: np.ndarray, path: Path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in matrix:
-            writer.writerow([str(int(v)) for v in row])
+        csv.writer(fh).writerows(matrix.tolist())
 
 
 def _read_text(path) -> str:

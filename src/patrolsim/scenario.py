@@ -132,11 +132,11 @@ class ScenarioConfig:
         return self
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
+FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
 
 
 def _parse_value(key: str, raw: str):
-    typ = _FIELD_TYPES[key]
+    typ = FIELD_TYPES[key]
     raw = raw.strip()
     try:
         if typ is bool:
@@ -174,7 +174,7 @@ def parse_config(path) -> ScenarioConfig:
         if "=" not in line:
             raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELD_TYPES:
+        if key not in FIELD_TYPES:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigurationError(f"{path}:{lineno}: {key!r} is set twice")

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from patrolsim import scenario
 from patrolsim.cli import main
 from patrolsim.errors import VerificationError
 from patrolsim.export import (
@@ -54,6 +55,47 @@ def _cli_verify(events, tmp_path, *flags) -> int:
         "eta = 0.5\np_max = 200\nsigma = 150\nbandwidth_s = 64\n"
     )
     return main(["verify", str(events), "--config", str(cfg_path), *flags])
+
+
+def _small_cfg(tmp_path):
+    """A valid 100-step swarm4 config file."""
+    cfg_path = tmp_path / "mission.cfg"
+    cfg_path.write_text(
+        "n_robots = 4\nwidth_grids = 8\nheight_grids = 8\n"
+        "mission_steps = 100\nwarmup_t0 = 50\nd_c = 120\ndelta = 120\n"
+    )
+    return cfg_path
+
+
+def _count_missions(monkeypatch):
+    """Seeds of every `Simulation.run` from now on (missions still run)."""
+    seeds = []
+    run = scenario.Simulation.run
+
+    def counted(self):
+        seeds.append(self.seed)
+        return run(self)
+
+    monkeypatch.setattr(scenario.Simulation, "run", counted)
+    return seeds
+
+
+COMMANDS = {
+    "run": ["run", "--seed", "1"],
+    "batch": ["batch", "--trials", "2"],
+    "sweep": ["sweep", "--trials", "2", "--eta-list", "0.5", "--pm-list", "200",
+              "--sigma-list", "150"],
+    "verify": ["verify", "events.log"],
+}
+SHARED_FLAGS = ["--config", "--strategy", "--n-robots", "--fail-fraction"]
+FLAG_CASES = (
+    [(cmd, flag) for cmd in COMMANDS for flag in SHARED_FLAGS]
+    + [(cmd, "--out") for cmd in ("run", "batch", "sweep")]
+    + [("run", "--seed")]
+    + [(cmd, flag) for cmd in ("batch", "sweep")
+       for flag in ("--base-seed", "--trials", "--workers")]
+    + [("sweep", flag) for flag in ("--eta-list", "--pm-list", "--sigma-list")]
+)
 
 
 def _set_metric(text, key, value):
@@ -362,3 +404,50 @@ class TestCli:
             row = next(csv.DictReader(fh))
         assert row["n_robots"] == "3"
         assert row["strategy"] == "er"
+
+    @pytest.mark.parametrize("command, flag", FLAG_CASES,
+                             ids=[f"{cmd}{flag}" for cmd, flag in FLAG_CASES])
+    def test_flag_value_dashes_exit_2(self, tmp_path, monkeypatch, capsys, command, flag):
+        # Python 3.11's argparse stores `--flag=--` as an empty list
+        missions = _count_missions(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        argv = [*COMMANDS[command], "--config", str(_small_cfg(tmp_path))]
+        if command != "verify":
+            argv += ["--out", "out"]
+        assert main([*argv, f"{flag}=--"]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {flag} needs one value, got '--'\n")
+        assert missions == []
+        assert [p.name for p in tmp_path.iterdir()] == ["mission.cfg"]
+
+    @pytest.mark.parametrize("command", ["run", "batch", "sweep"])
+    def test_unwritable_out_exit_1_before_any_mission(self, tmp_path, monkeypatch, capsys,
+                                                       command):
+        missions = _count_missions(monkeypatch)
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        argv = [*COMMANDS[command], "--config", str(_small_cfg(tmp_path)),
+                "--out", str(not_a_dir / "x")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and err.count("\n") == 1
+        assert missions == []
+
+    @pytest.mark.parametrize("command", ["batch", "sweep"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--base-seed", "-1"], "seed must be >= 0, got -1"),
+        (["--trials", "0"], "trials must be >= 1"),
+    ], ids=["base-seed", "trials"])
+    def test_seed_and_trials_checked_before_any_pool(self, tmp_path, monkeypatch, capsys,
+                                                     command, flags, message):
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} started before the check")
+
+        monkeypatch.setattr(scenario, "ProcessPoolExecutor", no_pool)
+        missions = _count_missions(monkeypatch)
+        out = tmp_path / "out"
+        argv = [*COMMANDS[command], "--config", str(_small_cfg(tmp_path)),
+                "--workers", "2", "--out", str(out), *flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert missions == [] and not out.exists()

@@ -11,7 +11,7 @@ sweep and verify inputs run against fixed, tiny missions.
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from patrolsim.cli import _load_config, build_parser, main
@@ -21,7 +21,7 @@ from patrolsim.scenario import ScenarioConfig, parse_config, run_trial
 
 FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)]
 EDGE_VALUES = ["nan", "inf", "-inf", "1e400", "-1", "0", "0.5", "1", "true", "no",
-               "lr-pt", "er", "random", "9" * 5000, "", "１２", "1_000", "0x10"]
+               "lr-pt", "er", "random", "9" * 5000, "", "１２", "1_000", "0x10", "--"]
 values = (st.sampled_from(EDGE_VALUES) | st.integers().map(str)
           | st.floats().map(repr) | st.text(max_size=12))
 lines = (st.tuples(st.sampled_from(FIELDS) | st.text(max_size=8), values)
@@ -71,7 +71,7 @@ class TestConfigText:
 
     @given(config_bytes, st.lists(st.tuples(
         st.sampled_from(["--n-robots", "--bandwidth-s", "--fail-fraction", "--fail-at",
-                         "--recover-at", "--strategy"]),
+                         "--recover-at", "--strategy", "--seed"]),
         values), max_size=4))
     @settings(max_examples=200, deadline=None)
     def test_override_flags(self, workdir, data, flags):
@@ -84,6 +84,7 @@ class TestConfigText:
 class TestSweepLists:
     @given(*[st.text(alphabet="0123456789.,-+eEinfa x", max_size=8)] * 3)
     @settings(max_examples=60, deadline=None)
+    @example("", "", "--")  # argparse stores `--sigma-list=--` as []
     def test_exit_0_or_2(self, workdir, etas, p_maxes, sigmas):
         path = workdir / "tiny.cfg"
         path.write_text(TINY)
