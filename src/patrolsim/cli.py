@@ -4,7 +4,6 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigurationError, PatrolSimError
@@ -16,6 +15,7 @@ from .scenario import (
     parse_config,
     run_batch,
     run_trial,
+    sweep_points,
 )
 from .strategy import STRATEGIES
 
@@ -37,16 +37,16 @@ OVERRIDES = ("strategy", "n_robots", "bandwidth_s", "fail_fraction", "fail_at", 
 
 def _load_config(args) -> ScenarioConfig:
     """The config file (or the defaults) with every flag named like a
-    ScenarioConfig field applied on top, validated with the other flags."""
+    ScenarioConfig field applied on top, checked with the other flags."""
     for name, value in vars(args).items():
         # Python 3.11's argparse stores `--flag=--` as [] without calling `type`
         if isinstance(value, list):
             flag = "base_seed" if name == "seed" and args.command != "run" else name
             raise ConfigurationError(f"--{flag.replace('_', '-')} needs one value, got '--'")
-    config = parse_config(args.config) if args.config else ScenarioConfig()
     overrides = {name: value for name, value in vars(args).items()
                  if name in FIELD_TYPES and value is not None}
-    config = replace(config, **overrides).validate()
+    config = (parse_config(args.config, **overrides) if args.config
+              else ScenarioConfig(**overrides))
     # run_batch checks this too, but only after batch and sweep create --out
     if getattr(args, "workers", 1) < 1:
         raise ConfigurationError(f"workers must be >= 1, got {args.workers}")
@@ -112,7 +112,7 @@ def _cmd_run(args, config) -> int:
 def _cmd_batch(args, config) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    results, summary = run_batch(config, config.trials, config.seed, workers=args.workers)
+    results, summary = run_batch(config, workers=args.workers)
     write_metrics_csv(results, out / "metrics.csv")
     for idx, result in enumerate(results):
         write_run_artifacts(result, out / f"trial_{idx:03d}")
@@ -125,6 +125,7 @@ def _cmd_batch(args, config) -> int:
 
 def _cmd_sweep(args, config) -> int:
     grid = [_floats(raw) for raw in (args.eta_list, args.pm_list, args.sigma_list)]
+    sweep_points(config, *grid)  # a bad grid must fail before --out is created
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     rows = parameter_sweep(config, *grid, config.trials, config.seed, workers=args.workers)

@@ -172,7 +172,7 @@ def replay_events(
         by_time.setdefault(ev.time, []).append(ev)
     sum_ig = 0.0
     max_iw = 0
-    samples = 0
+    samples = 0  # >= 1: a valid config has warmup_t0 <= mission_steps
     for t in range(1, config.mission_steps + 1):
         idleness += 1
         for ev in by_time.get(t, ()):
@@ -182,8 +182,6 @@ def replay_events(
             sum_ig += float(idleness.mean())
             max_iw = max(max_iw, int(idleness.max()))
             samples += 1
-    if samples == 0:
-        raise VerificationError("mission shorter than warm-up; nothing to verify")
     return sum_ig / samples, max_iw, counts
 
 

@@ -72,6 +72,9 @@ class ScenarioConfig:
     recover_at: int = 0
     holonomic: bool = False
 
+    def __post_init__(self):
+        self.validate()
+
     @property
     def K(self) -> int:
         return self.width_grids * self.height_grids
@@ -81,10 +84,10 @@ class ScenarioConfig:
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
 
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type is float and not math.isfinite(value):
-                raise ConfigurationError(f"{f.name} must be finite, got {value}")
+        for name in _FLOAT_FIELDS:  # precomputed: every construction and replace validates
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.n_robots < 2:
             raise ConfigurationError(f"n_robots must be >= 2, got {self.n_robots}")
         if self.width_grids < 1 or self.height_grids < 1:
@@ -133,6 +136,7 @@ class ScenarioConfig:
 
 
 FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
+_FLOAT_FIELDS = tuple(name for name, typ in FIELD_TYPES.items() if typ is float)
 
 
 def _parse_value(key: str, raw: str):
@@ -154,11 +158,11 @@ def _parse_value(key: str, raw: str):
         raise ConfigurationError(f"bad value for {key}: {raw!r}") from exc
 
 
-def parse_config(path) -> ScenarioConfig:
+def parse_config(path, **overrides) -> ScenarioConfig:
     """Load a flat `key = value` config file; '#' starts a comment.
 
-    Keys and value types are checked here; the value ranges are not, so that
-    overrides can still fix them. Call `validate()` on the final config.
+    `overrides` (ScenarioConfig fields) replace the file's values before the
+    config is built, so they can complete a file that is invalid on its own.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -179,7 +183,7 @@ def parse_config(path) -> ScenarioConfig:
         if key in values:
             raise ConfigurationError(f"{path}:{lineno}: {key!r} is set twice")
         values[key] = _parse_value(key, raw)
-    return ScenarioConfig(**values)
+    return ScenarioConfig(**{**values, **overrides})
 
 
 def scheduled_failures(config: ScenarioConfig) -> List[int]:
@@ -194,11 +198,7 @@ class Simulation:
     """One seeded trial. Robot row 0 is the BS; rows 1..N-1 patrol."""
 
     def __init__(self, config: ScenarioConfig, seed: int, record_series: bool = True):
-        config.validate()
-        if seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {seed}")
-        self.config = config
-        self.seed = seed
+        self.config = config = replace(config, seed=seed)
         self.rng = np.random.default_rng(seed)
         self.grid_map = build_grid_map(
             config.width_grids, config.height_grids, config.grid_size
@@ -339,7 +339,6 @@ class Simulation:
     def _result(self) -> "TrialResult":
         return TrialResult(
             self.config,
-            self.seed,
             *metrics.finalize(self.metrics),
             visit_counts=self.metrics.visit_counts.copy(),
             series={k: np.asarray(v) for k, v in self.metrics.series.items()},
@@ -349,8 +348,7 @@ class Simulation:
 
 @dataclass
 class TrialResult:
-    config: ScenarioConfig
-    seed: int
+    config: ScenarioConfig  # reproduces the trial: run_trial(config, config.seed)
     I_G: float
     I_W: int
     D_MSA: float
@@ -358,6 +356,10 @@ class TrialResult:
     visit_counts: np.ndarray            # (N, K); row 0 (the BS) stays zero
     series: Dict[str, np.ndarray]
     events: List[VisitEvent]
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
 
     def metric_row(self) -> Dict[str, float]:
         """The four metrics, then each scaled by (N-1)/K as `norm_<name>`."""
@@ -379,20 +381,17 @@ def run_trial(config: ScenarioConfig, seed: int, record_series: bool = True) -> 
 
 def run_batch(
     config: ScenarioConfig,
-    trials: int,
-    base_seed: int,
     workers: int = 1,
     record_series: bool = True,
 ) -> Tuple[List[TrialResult], Dict[str, Dict[str, float]]]:
-    """Independent trials with seeds base_seed..base_seed+trials-1, on at most
-    `trials` worker processes (serially when that is 1)."""
-    if trials < 1:
-        raise ConfigurationError("trials must be >= 1")
+    """`config.trials` independent trials with seeds config.seed,
+    config.seed+1, ..., on at most that many worker processes (serially when
+    that is 1)."""
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    jobs = (itertools.repeat(config), range(base_seed, base_seed + trials),
+    jobs = (itertools.repeat(config), range(config.seed, config.seed + config.trials),
             itertools.repeat(record_series))
-    workers = min(workers, trials)
+    workers = min(workers, config.trials)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_trial, *jobs))
@@ -415,6 +414,16 @@ def summarize(results: List[TrialResult]) -> Dict[str, Dict[str, float]]:
     return summary
 
 
+def sweep_points(config: ScenarioConfig, etas, p_maxes, sigmas) -> List[ScenarioConfig]:
+    """The config of every point of the {eta} x {p_max} x {sigma} grid;
+    raises ConfigurationError for an empty grid or an invalid point."""
+    points = [replace(config, eta=eta, p_max=p_max, sigma=sigma)
+              for eta, p_max, sigma in itertools.product(etas, p_maxes, sigmas)]
+    if not points:
+        raise ConfigurationError("parameter sweep grid is empty")
+    return points
+
+
 def parameter_sweep(
     config: ScenarioConfig,
     etas,
@@ -424,19 +433,13 @@ def parameter_sweep(
     base_seed: int,
     workers: int = 1,
 ) -> List[Dict[str, float]]:
-    """Exhaustive sweep over {eta} x {p_max} x {sigma}, deterministic seeding."""
-    points = list(itertools.product(etas, p_maxes, sigmas))
-    if not points:
-        raise ConfigurationError("parameter sweep grid is empty")
-    point_cfgs = [
-        replace(config, eta=eta, p_max=p_max, sigma=sigma).validate()
-        for eta, p_max, sigma in points
-    ]
+    """Exhaustive sweep over {eta} x {p_max} x {sigma}: `trials` trials per
+    point, with seeds base_seed, base_seed+1, ... at every point."""
+    point_cfgs = sweep_points(replace(config, trials=trials, seed=base_seed),
+                              etas, p_maxes, sigmas)
     rows = []
     for point_cfg in point_cfgs:
-        results, summary = run_batch(
-            point_cfg, trials, base_seed, workers=workers, record_series=False
-        )
+        results, summary = run_batch(point_cfg, workers=workers, record_series=False)
         rows.append({
             "eta": point_cfg.eta,
             "p_max": point_cfg.p_max,

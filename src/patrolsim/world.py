@@ -13,7 +13,6 @@ from typing import List, NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -52,12 +51,6 @@ class GridMap:
 
 
 def build_grid_map(width_grids: int, height_grids: int, grid_size: float) -> GridMap:
-    if width_grids < 1 or height_grids < 1:
-        raise ConfigurationError(
-            f"grid dimensions must be >= 1, got {width_grids}x{height_grids}"
-        )
-    if grid_size <= 0:
-        raise ConfigurationError(f"grid_size must be > 0, got {grid_size}")
     k = np.arange(width_grids * height_grids)
     ix = k % width_grids
     iy = k // width_grids

@@ -37,30 +37,30 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def swarm5_batch():
-    results, summary = run_batch(SWARM5, SEEDS, base_seed=1, workers=SEEDS,
+    results, summary = run_batch(replace(SWARM5, trials=SEEDS, seed=1), workers=SEEDS,
                                  record_series=False)
     return results, summary
 
 
 @pytest.fixture(scope="module")
 def swarm10_batch():
-    results, summary = run_batch(SWARM10, SEEDS, base_seed=1, workers=SEEDS,
+    results, summary = run_batch(replace(SWARM10, trials=SEEDS, seed=1), workers=SEEDS,
                                  record_series=False)
     return results, summary
 
 
 @pytest.fixture(scope="module")
 def reactive10_batch():
-    cfg = replace(SWARM10, strategy="er")
-    results, summary = run_batch(cfg, SEEDS, base_seed=1, workers=SEEDS,
+    cfg = replace(SWARM10, strategy="er", trials=SEEDS, seed=1)
+    results, summary = run_batch(cfg, workers=SEEDS,
                                  record_series=False)
     return results, summary
 
 
 @pytest.fixture(scope="module")
 def swarm5_narrowband_batch():
-    cfg = replace(SWARM5, bandwidth_s=8)
-    results, summary = run_batch(cfg, SEEDS, base_seed=1, workers=SEEDS,
+    cfg = replace(SWARM5, bandwidth_s=8, trials=SEEDS, seed=1)
+    results, summary = run_batch(cfg, workers=SEEDS,
                                  record_series=False)
     return results, summary
 

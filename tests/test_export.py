@@ -73,7 +73,7 @@ def _count_missions(monkeypatch):
     run = scenario.Simulation.run
 
     def counted(self):
-        seeds.append(self.seed)
+        seeds.append(self.config.seed)
         return run(self)
 
     monkeypatch.setattr(scenario.Simulation, "run", counted)
@@ -219,6 +219,20 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("eta_list, message", [
+        ("2", "eta must be in [0, 1), got 2.0"),
+        (",", "parameter sweep grid is empty"),
+    ], ids=["invalid-point", "empty-grid"])
+    def test_sweep_bad_grid_creates_no_out(self, tmp_path, monkeypatch, capsys,
+                                           eta_list, message):
+        missions = _count_missions(monkeypatch)
+        out = tmp_path / "d"
+        argv = ["sweep", "--config", str(_small_cfg(tmp_path)), "--eta-list", eta_list,
+                "--pm-list", "200", "--sigma-list", "150", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert missions == [] and not out.exists()
 
     @pytest.mark.parametrize("row, match", [
         ("5,2,99999", "grid in 0..63"),

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -29,6 +29,17 @@ SMALL = ScenarioConfig(
     sigma=150.0,
     bandwidth_s=64,
 )
+
+# (field, invalid value, message) for SMALL
+INVALID_VALUES = [
+    ("rho", math.nan, "rho must be finite"),
+    ("sigma", math.nan, "sigma must be finite"),
+    ("v_max", math.inf, "v_max must be finite"),
+    ("warmup_t0", 601, "warm-up"),
+    ("seed", -1, "seed must be >= 0"),
+    ("width_grids", 0, "width_grids and height_grids must be >= 1"),
+    ("grid_size", 0.0, "grid_size must be > 0"),
+]
 
 
 class TestConfig:
@@ -65,21 +76,36 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             parse_config(path)
 
+    def test_overrides_complete_the_file(self, tmp_path):
+        # the file alone is invalid (failures without a schedule)
+        path = tmp_path / "mission.cfg"
+        path.write_text("mission_steps = 300\nwarmup_t0 = 50\nfail_fraction = 0.3\n")
+        with pytest.raises(ConfigurationError, match="failure schedule"):
+            parse_config(path)
+        cfg = parse_config(path, fail_at=100, recover_at=200)
+        assert (cfg.fail_fraction, cfg.fail_at, cfg.recover_at) == (0.3, 100, 200)
+        assert parse_config(path, fail_fraction=0.0).fail_fraction == 0.0
+
     def test_delta_must_not_exceed_comm_range(self):
         with pytest.raises(ConfigurationError, match="delta"):
-            ScenarioConfig(delta=200.0, d_c=180.0).validate()
+            ScenarioConfig(delta=200.0, d_c=180.0)
 
-    @pytest.mark.parametrize("field, value, match", [
-        ("rho", math.nan, "rho must be finite"),
-        ("sigma", math.nan, "sigma must be finite"),
-        ("v_max", math.inf, "v_max must be finite"),
-        ("warmup_t0", 601, "warm-up"),
-        ("seed", -1, "seed must be >= 0"),
-    ])
+    @pytest.mark.parametrize("field, value, match", INVALID_VALUES)
     def test_invalid_value_rejected_before_any_step(self, field, value, match):
-        cfg = replace(SMALL, **{field: value})
         with pytest.raises(ConfigurationError, match=match):
-            Simulation(cfg, 1)
+            Simulation(replace(SMALL, **{field: value}), 1)
+
+    @pytest.mark.parametrize("field, value, match", INVALID_VALUES)
+    def test_invalid_value_rejected_at_construction(self, tmp_path, field, value, match):
+        values = {**asdict(SMALL), field: value}
+        with pytest.raises(ConfigurationError, match=match):
+            replace(SMALL, **{field: value})
+        with pytest.raises(ConfigurationError, match=match):
+            ScenarioConfig(**values)
+        path = tmp_path / "mission.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        with pytest.raises(ConfigurationError, match=match):
+            parse_config(path)
 
     def test_random_walk_needs_two_cells(self):
         one_cell = replace(SMALL, width_grids=1, height_grids=1, mission_steps=150,
@@ -98,7 +124,7 @@ class TestConfig:
     def test_failure_schedule_consistency(self):
         with pytest.raises(ConfigurationError):
             ScenarioConfig(fail_fraction=0.2, fail_at=100, recover_at=50,
-                           mission_steps=200).validate()
+                           mission_steps=200)
 
     def test_shipped_configs(self):
         from pathlib import Path
@@ -157,9 +183,8 @@ class TestRunTrial:
         assert np.array_equal(r1.visit_counts, r2.visit_counts)
 
     def test_mission_shorter_than_warmup_fails(self):
-        cfg = replace(SMALL, mission_steps=50, warmup_t0=100)
         with pytest.raises(Exception, match="warm-up|samples"):
-            run_trial(cfg, 1)
+            run_trial(replace(SMALL, mission_steps=50, warmup_t0=100), 1)
 
     def test_idleness_matches_event_replay(self):
         # the world's idleness state is reproducible from the event log alone
@@ -236,25 +261,49 @@ class TestFailureSchedule:
 
 class TestBatchAndSweep:
     def test_batch_aggregate_mean(self):
-        results, summary = run_batch(SMALL, 3, base_seed=10)
+        results, summary = run_batch(replace(SMALL, trials=3, seed=10))
         assert [r.seed for r in results] == [10, 11, 12]
         mean = sum(r.I_G for r in results) / 3
         assert summary["I_G"]["mean"] == pytest.approx(mean)
 
     def test_single_trial_summary(self):
-        results, summary = run_batch(SMALL, 1, base_seed=4)
+        results, summary = run_batch(replace(SMALL, trials=1, seed=4))
         assert summary["I_W"]["mean"] == results[0].I_W
 
     def test_batch_deterministic(self):
-        _, s1 = run_batch(SMALL, 2, base_seed=3)
-        _, s2 = run_batch(SMALL, 2, base_seed=3)
+        _, s1 = run_batch(replace(SMALL, trials=2, seed=3))
+        _, s2 = run_batch(replace(SMALL, trials=2, seed=3))
         assert s1 == s2
+
+    def test_results_reproduce_from_their_config(self, monkeypatch):
+        # a result's config is the one that reproduces it, seed included
+        from patrolsim import scenario
+
+        cfg = replace(SMALL, mission_steps=150, warmup_t0=10)
+        batch, _ = run_batch(replace(cfg, trials=3, seed=20))
+        assert [r.config.seed for r in batch] == [20, 21, 22]
+        swept = []
+        run = scenario.run_batch
+
+        def keep(*args, **kwargs):
+            results, summary = run(*args, **kwargs)
+            swept.extend(results)
+            return results, summary
+
+        monkeypatch.setattr(scenario, "run_batch", keep)
+        parameter_sweep(cfg, [0.4, 0.6], [200.0], [150.0], 2, 30)
+        assert [(r.config.eta, r.config.seed) for r in swept] == [
+            (0.4, 30), (0.4, 31), (0.6, 30), (0.6, 31)]
+        for r in batch + swept:
+            again = run_trial(r.config, r.config.seed)
+            assert again.event_digest() == r.event_digest()
+            assert again.metric_row() == r.metric_row()
 
     def test_sweep_counts_and_single_point(self):
         rows = parameter_sweep(SMALL, [0.4, 0.5], [200.0, 300.0], [150.0], 1, 8)
         assert len(rows) == 4
         single = parameter_sweep(SMALL, [SMALL.eta], [SMALL.p_max], [SMALL.sigma], 2, 8)
-        _, batch = run_batch(SMALL, 2, base_seed=8)
+        _, batch = run_batch(replace(SMALL, trials=2, seed=8))
         assert single[0]["mean_I_G"] == pytest.approx(batch["I_G"]["mean"])
 
     def test_batch_starts_at_most_trials_workers(self, monkeypatch):
@@ -275,12 +324,12 @@ class TestBatchAndSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        cfg = replace(SMALL, mission_steps=150, warmup_t0=10)
-        serial, _ = run_batch(cfg, 2, base_seed=5)
+        cfg = replace(SMALL, mission_steps=150, warmup_t0=10, trials=2, seed=5)
+        serial, _ = run_batch(cfg)
         monkeypatch.setattr(scenario, "ProcessPoolExecutor", InProcessPool)
-        pooled, _ = run_batch(cfg, 2, base_seed=5, workers=64)
+        pooled, _ = run_batch(cfg, workers=64)
         assert pools == [2]
-        single, _ = run_batch(cfg, 1, base_seed=5, workers=4)
+        single, _ = run_batch(replace(cfg, trials=1), workers=4)
         assert pools == [2]
         assert [r.metric_row() for r in pooled] == [r.metric_row() for r in serial]
         assert [r.event_digest() for r in pooled] == [r.event_digest() for r in serial]
@@ -293,7 +342,7 @@ class TestBatchAndSweep:
         calls = []
         monkeypatch.setattr(scenario, "run_trial", lambda *a: calls.append(a))
         with pytest.raises(ConfigurationError, match=f"workers must be >= 1, got {workers}"):
-            run_batch(SMALL, 2, base_seed=1, workers=workers)
+            run_batch(replace(SMALL, trials=2, seed=1), workers=workers)
         with pytest.raises(ConfigurationError, match="workers must be >= 1"):
             parameter_sweep(SMALL, [0.4, 0.5], [200.0], [150.0], 1, 8, workers=workers)
         assert calls == []

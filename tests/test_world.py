@@ -1,9 +1,7 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patrolsim.errors import ConfigurationError
 from patrolsim.world import (
     advance_time,
     build_grid_map,
@@ -28,12 +26,6 @@ class TestBuildGridMap:
         gmap = build_grid_map(2, 3, 10.0)
         assert gmap.K == 6
         assert tuple(gmap.centers[5]) == (15.0, 25.0)
-
-    def test_rejects_bad_dimensions(self):
-        with pytest.raises(ConfigurationError):
-            build_grid_map(0, 5, 30.0)
-        with pytest.raises(ConfigurationError):
-            build_grid_map(5, 5, 0.0)
 
     @given(w=st.integers(1, 25), h=st.integers(1, 25),
            gs=st.floats(0.5, 100.0, allow_nan=False))
