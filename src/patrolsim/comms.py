@@ -49,13 +49,13 @@ def deliver(envelopes: Dict[int, MessageEnvelope], graph_prev: np.ndarray) -> Li
     """Inboxes at t from envelopes enqueued at t-1.
 
     `envelopes` maps sender row index -> envelope; recipients are the
-    sender's neighbors in the t-1 connectivity graph. Each inbox is sorted
-    by sender id for determinism.
+    sender's neighbors in the t-1 connectivity graph. The graph's edges are
+    walked in row-major order, so each inbox is sorted by sender id.
     """
-    n = graph_prev.shape[0]
-    inboxes: List[List[MessageEnvelope]] = [[] for _ in range(n)]
-    for sender_row in sorted(envelopes):
-        env = envelopes[sender_row]
-        for recipient in np.nonzero(graph_prev[sender_row])[0]:
+    inboxes: List[List[MessageEnvelope]] = [[] for _ in range(graph_prev.shape[0])]
+    senders, recipients = np.nonzero(graph_prev)
+    for sender, recipient in zip(senders.tolist(), recipients.tolist()):
+        env = envelopes.get(sender)
+        if env is not None:
             inboxes[recipient].append(env)
     return inboxes

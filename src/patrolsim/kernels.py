@@ -1,4 +1,4 @@
-"""The four numeric kernels of the step loop, written as numpy array code.
+"""The four numeric kernels of the step loop.
 
 Callers reach them through the module attribute (``kernels.top_s(...)``),
 never by from-import, so a profiler can wrap each one in place. Float results
@@ -12,20 +12,45 @@ Squared distances, here and in `comms` and `strategy`, are computed as
 length-2 coordinate axis is several times slower, and gives the same bits:
 ``x ** 2`` is ``x * x``, and a reduce over two elements is ``a0 + a1``.
 
+`completions` is not dense: it tests only the cells whose centre can lie
+within rho of a robot, in Python floats. A centre (j + 0.5) * g within rho
+of x satisfies (x - rho) / g - 0.5 <= j <= (x + rho) / g - 0.5, so the
+range floor((x - rho) / g) .. floor((x + rho) / g) holds every qualifying
+j for any rho: rounding cannot move a floor across that 0.5 of slack. The
+centre ``(ix + 0.5) * g`` and ``dx * dx + dy * dy <= rho * rho`` are the
+operations `world.build_grid_map` and the dense check perform, and Python
+float arithmetic is the same correctly rounded float64 arithmetic as
+numpy's ufuncs, so the pairs are the dense kernel's, bit for bit. A robot
+then tests one or a few cells instead of all K.
+
 `top_s` returns ``arange(K)`` without sorting when ``s >= K``: the slice then
 ships the whole base, and a merge does not depend on the order of a slice
 (its grids are unique and newness is decided before any write).
 """
 
+import math
+
 import numpy as np
 
 
-def completions(positions, centers, rho):
-    """(robot_row, grid) index pairs with Euclidean distance <= rho."""
-    dx = positions[:, 0, None] - centers[:, 0]
-    dy = positions[:, 1, None] - centers[:, 1]
-    rows, grids = np.nonzero(dx * dx + dy * dy <= rho * rho)
-    return rows.astype(np.int64), grids.astype(np.int64)
+def completions(positions, grid_map, rho):
+    """(robot_row, grid) index pairs with Euclidean distance <= rho, rows
+    ascending and grids ascending within a row."""
+    g, width = grid_map.grid_size, grid_map.width
+    last_x, last_y = width - 1, grid_map.height - 1
+    r2 = rho * rho
+    rows, grids = [], []
+    for row, (x, y) in enumerate(positions.tolist()):
+        x0, x1 = max(math.floor((x - rho) / g), 0), min(math.floor((x + rho) / g), last_x)
+        for iy in range(max(math.floor((y - rho) / g), 0),
+                        min(math.floor((y + rho) / g), last_y) + 1):
+            dy = y - (iy + 0.5) * g
+            for ix in range(x0, x1 + 1):
+                dx = x - (ix + 0.5) * g
+                if dx * dx + dy * dy <= r2:
+                    rows.append(row)
+                    grids.append(iy * width + ix)
+    return np.array(rows, dtype=np.int64), np.array(grids, dtype=np.int64)
 
 
 def merge_slice(assumed, utime, grids, ivals, tvals):

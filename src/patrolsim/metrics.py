@@ -38,23 +38,25 @@ class MetricsAccumulator:
         self.series = {k: [] for k in SERIES_KEYS}
 
 
-def sa_delays(t: int, bs_utimes: np.ndarray) -> np.ndarray:
-    """Per-grid information age at the BS: t minus its update times."""
-    return t - bs_utimes
-
-
 def sample_instantaneous(
     world: WorldState,
     bs_utimes: np.ndarray,
     acc: MetricsAccumulator,
     n_active: int,
 ) -> None:
-    i_g = float(world.idleness.mean())
+    """Sample I_G, I_W and the BS's information age D_MSA, D_WSA at world.t.
+
+    The means are exact integer sums divided once, which is what ``np.mean``
+    of int64 computes: every partial sum is an integer below 2**53, so it is
+    exact in float64 too. The age of grid k is t - bs_utimes[k], so its sum
+    is t * K - sum(bs_utimes) and its maximum t - min(bs_utimes).
+    """
+    t, k = world.t, world.idleness.size
+    i_g = int(world.idleness.sum()) / k
     i_w = int(world.idleness.max())
-    d = sa_delays(world.t, bs_utimes)
-    d_msa = float(d.mean())
-    d_wsa = int(d.max())
-    if world.t >= acc.warmup_t0:
+    d_msa = (t * k - int(bs_utimes.sum())) / k
+    d_wsa = t - int(bs_utimes.min())
+    if t >= acc.warmup_t0:
         acc.sum_ig += i_g
         acc.max_iw = max(acc.max_iw, i_w)
         acc.sum_dmsa += d_msa
@@ -62,7 +64,7 @@ def sample_instantaneous(
         acc.samples += 1
     if acc.record_series:
         s = acc.series
-        s["t"].append(world.t)
+        s["t"].append(t)
         s["i_g"].append(i_g)
         s["i_w"].append(i_w)
         s["d_msa"].append(d_msa)

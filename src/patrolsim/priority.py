@@ -9,8 +9,16 @@ rules partitions the swarm into reporters and explorers.
 State lives in the swarm arrays: p[i] is robot row i's report priority and
 omega[i] its last direct BS connection timestep (0 if never); row 0 is the
 BS. One call updates every recipient from its senders' t-1 values.
+
+The fold runs over Python lists, one recipient at a time. At the paper's
+swarm sizes (N <= 15) a step is bound by the fixed cost of each numpy call,
+not by arithmetic, and a vectorised fold makes about fifteen calls on
+vectors of length N. Python float ``+``, ``*``, ``min`` and ``max`` are the
+same correctly rounded float64 operations as numpy's elementwise ufuncs, so
+with the same operands in the same order the bits are the same.
 """
 
+from itertools import compress
 from typing import Tuple
 
 import numpy as np
@@ -38,15 +46,25 @@ def update_report_priority(
     same-step handoffs from compounding past the documented bound. The
     inputs are not modified.
     """
-    heard = heard & update
-    new_omega = np.where(heard[0], now, omega)
-    # omega changes only at the BS sender, row 0, which folds first
-    adopt = heard[1:] & (omega[1:, None] < new_omega)
-    new_p = np.where(update & ~connected_to_bs, np.minimum(p_max, p + 1.0), p)
-    for j in np.flatnonzero(adopt.any(axis=1)):
-        mine, theirs = new_p[adopt[j]], p[j + 1]
-        new_p[adopt[j]] = np.maximum(mine, theirs) + eta * np.minimum(mine, theirs)
-    reached = heard.any(axis=0)
-    new_p[reached & ~heard[0] & ~adopt.any(axis=0)] = 0.0
-    np.minimum(new_p, p_max * (1.0 + eta), out=new_p, where=reached)
-    return new_p, new_omega
+    cap = p_max * (1.0 + eta)
+    p_in, omega_in = p.tolist(), omega.tolist()
+    new_p, new_omega = list(p_in), list(omega_in)
+    for i, (senders, due, at_bs) in enumerate(
+            zip(heard.T.tolist(), update.tolist(), connected_to_bs.tolist())):
+        if not due:
+            continue
+        q = p_in[i] if at_bs else min(p_max, p_in[i] + 1.0)
+        if not any(senders):
+            new_p[i] = q
+            continue
+        # BS contact or an adoption keeps the priority; otherwise it resets
+        kept = senders[0]  # the BS row folds first and sets the contact time
+        if kept:
+            new_omega[i] = now
+        for j in compress(range(1, len(senders)), senders[1:]):
+            if omega_in[j] < new_omega[i]:
+                theirs = p_in[j]
+                q = max(q, theirs) + eta * min(q, theirs)
+                kept = True
+        new_p[i] = min(q, cap) if kept else 0.0
+    return np.array(new_p, dtype=np.float64), np.array(new_omega, dtype=np.int64)

@@ -239,7 +239,7 @@ class Simulation:
 
     def _select_target(self, i: int) -> None:
         cfg = self.config
-        cur = self.grid_map.cell_of(self.pos[i])
+        cur = self.grid_map.cell_of(self.pos[i].tolist())
         if cfg.strategy == strategy.LR_PT:
             target = strategy.select_patrol_target(
                 self.pos[i], self.assumed[i], self.p[i], self.grid_map,
@@ -270,7 +270,7 @@ class Simulation:
             self.p[self.fail_rows] = 0.0  # a fresh returner must not hijack reporting
             self.need_select[self.fail_rows] = True
         advance_time(self.world)
-        self.assumed[self.alive] += 1
+        self.assumed += self.alive[:, None]
 
     def _merge(self, inboxes: List[List[MessageEnvelope]]) -> None:
         cfg = self.config
@@ -285,25 +285,26 @@ class Simulation:
         )
 
     def _move(self) -> None:
-        gmap = self.grid_map
+        """One step per operational patroller over Python floats: a float64
+        round-trip through a Python float is exact, and `motion` works in
+        `math` either way."""
         mover = holonomic_step if self.config.holonomic else step_toward
-        for i in range(1, self.config.n_robots):
-            if not self.alive[i]:
-                continue
-            wx, wy = gmap.centers[self.temp[i]]
-            x, y, th = mover(
-                self.pos[i, 0], self.pos[i, 1], self.heading[i], wx, wy, self.limits
-            )
-            self.pos[i, 0] = x
-            self.pos[i, 1] = y
-            self.heading[i] = th
+        pos, heading = self.pos.tolist(), self.heading.tolist()
+        waypoints = self.grid_map.centers[self.temp].tolist()
+        for i, alive in enumerate(self.alive.tolist()):
+            if i and alive:
+                x, y = pos[i]
+                wx, wy = waypoints[i]
+                pos[i][0], pos[i][1], heading[i] = mover(x, y, heading[i], wx, wy, self.limits)
+        self.pos[:] = pos
+        self.heading[:] = heading
 
     def _complete(self) -> List[VisitEvent]:
         """Record completions; re-select, in ascending row order, every row in
         `need_select`: completed temporary grids and robots that recovered."""
         rows = np.flatnonzero(self.alive[1:]) + 1
         events = detect_patrol_completions(
-            self.world, self.grid_map, self.pos[rows], rows + 1, self.config.rho
+            self.world, self.grid_map, self.pos[rows], (rows + 1).tolist(), self.config.rho
         )
         for ev in events:
             self.events.append(ev)
@@ -312,7 +313,7 @@ class Simulation:
             knowledge.record_patrol(self.assumed[i], self.utime[i], ev.grid, ev.time)
             if ev.grid == self.temp[i]:
                 self.need_select[i] = True
-        for i in np.flatnonzero(self.need_select):
+        for i in np.flatnonzero(self.need_select).tolist():
             self._select_target(i)
         self.need_select[:] = False
         return events
@@ -323,7 +324,7 @@ class Simulation:
         self.outbox = {
             i: MessageEnvelope(*truncate_knowledge(
                 self.assumed[i], self.utime[i], self.config.bandwidth_s))
-            for i in np.flatnonzero(self.sent)
+            for i in np.flatnonzero(self.sent).tolist()
         }
         self.prev_graph = graph
 

@@ -91,12 +91,12 @@ def detect_patrol_completions(
 ) -> List[VisitEvent]:
     """Emit a VisitEvent per (robot, grid) pair within rho and reset idleness.
 
-    `positions` holds operational patrollers only. Several robots on one grid
-    yield several events but a single reset.
+    `positions` holds operational patrollers only, and `robot_ids` their ids
+    as Python ints. Several robots on one grid yield several events but a
+    single reset.
     """
-    events: List[VisitEvent] = []
-    rows, grids = kernels.completions(positions, grid_map.centers, rho)
-    for r, g in zip(rows, grids):
-        events.append(VisitEvent(int(robot_ids[r]), int(g), world.t))
+    rows, grids = kernels.completions(positions, grid_map, rho)
+    t = world.t
+    events = [VisitEvent(robot_ids[r], g, t) for r, g in zip(rows.tolist(), grids.tolist())]
     world.idleness[grids] = 0
     return events

@@ -1,7 +1,7 @@
 """Scalar reference implementations the tests check the package against."""
 
 import math
-from typing import Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -68,3 +68,40 @@ def top_s_sorted(utime, s):
     key = utime * k + (k - 1 - np.arange(k, dtype=np.int64))
     order = np.argsort(-key, kind="stable")
     return order[: min(s, k)]
+
+
+def sa_delays(t: int, bs_utimes: np.ndarray) -> np.ndarray:
+    """Per-grid information age at the BS: t minus its update times."""
+    return t - bs_utimes
+
+
+def instantaneous_dense(t: int, idleness: np.ndarray, bs_utimes: np.ndarray):
+    """(i_g, i_w, d_msa, d_wsa) as ``np.mean``/``max`` over K-long temporaries."""
+    d = sa_delays(t, bs_utimes)
+    return float(idleness.mean()), int(idleness.max()), float(d.mean()), int(d.max())
+
+
+def deliver_per_sender(envelopes: Dict[int, object], graph_prev: np.ndarray) -> List[List[object]]:
+    """Inboxes filled one sender at a time, senders in ascending row order."""
+    inboxes: List[List[object]] = [[] for _ in range(graph_prev.shape[0])]
+    for sender_row in sorted(envelopes):
+        for recipient in np.nonzero(graph_prev[sender_row])[0]:
+            inboxes[recipient].append(envelopes[sender_row])
+    return inboxes
+
+
+def update_report_priority_vectorised(p, omega, heard, update, connected_to_bs,
+                                      now, p_max, eta):
+    """The priority fold as numpy array code, one adopting sender at a time."""
+    heard = heard & update
+    new_omega = np.where(heard[0], now, omega)
+    # omega changes only at the BS sender, row 0, which folds first
+    adopt = heard[1:] & (omega[1:, None] < new_omega)
+    new_p = np.where(update & ~connected_to_bs, np.minimum(p_max, p + 1.0), p)
+    for j in np.flatnonzero(adopt.any(axis=1)):
+        mine, theirs = new_p[adopt[j]], p[j + 1]
+        new_p[adopt[j]] = np.maximum(mine, theirs) + eta * np.minimum(mine, theirs)
+    reached = heard.any(axis=0)
+    new_p[reached & ~heard[0] & ~adopt.any(axis=0)] = 0.0
+    np.minimum(new_p, p_max * (1.0 + eta), out=new_p, where=reached)
+    return new_p, new_omega

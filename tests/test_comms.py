@@ -9,6 +9,8 @@ from patrolsim.comms import (
     truncate_knowledge,
 )
 
+from oracles import deliver_per_sender
+
 
 def _env():
     return MessageEnvelope(
@@ -16,6 +18,10 @@ def _env():
         slice_idleness=np.array([0], dtype=np.int64),
         slice_utimes=np.array([0], dtype=np.int64),
     )
+
+
+def _ids(inboxes):
+    return [[id(env) for env in box] for box in inboxes]
 
 
 class TestConnectivity:
@@ -103,3 +109,24 @@ class TestDeliver:
             want = [envs[j] for j in range(3) if j != i]
             assert len(inboxes[i]) == 2
             assert all(got is env for got, env in zip(inboxes[i], want))
+
+    def test_per_sender_contract(self):
+        # rows 1 and 3 have edges but sent nothing; senders 0, 2 and 5 are
+        # not contiguous and are enqueued out of order
+        graph = np.zeros((6, 6), dtype=bool)
+        for a, b in ((0, 1), (0, 4), (1, 2), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)):
+            graph[a, b] = graph[b, a] = True
+        envs = {i: _env() for i in (5, 0, 2)}
+        got = _ids(deliver(envs, graph))
+        assert got == _ids(deliver_per_sender(envs, graph))
+        assert got[4] == [id(envs[0]), id(envs[2]), id(envs[5])]
+
+    @given(st.data(), st.integers(2, 16))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_sender_loop(self, data, n):
+        flags = st.lists(st.booleans(), min_size=n, max_size=n)
+        graph = np.array(data.draw(st.lists(flags, min_size=n, max_size=n)), dtype=bool)
+        np.fill_diagonal(graph, False)
+        rows = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+        envs = {i: _env() for i in rows}
+        assert _ids(deliver(envs, graph)) == _ids(deliver_per_sender(envs, graph))

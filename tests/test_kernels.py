@@ -2,6 +2,7 @@
 `top_s` against the dense and sorting forms in `oracles`, bit for bit."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,7 +46,7 @@ class TestSplitCoordinates:
     @settings(max_examples=200, deadline=None)
     def test_completions_match_dense(self, data, rho):
         pos = data.draw(points(rho))
-        rows, grids = kernels.completions(pos, GMAP.centers, rho)
+        rows, grids = kernels.completions(pos, GMAP, rho)
         want_rows, want_grids = completions_dense(pos, GMAP.centers, rho)
         assert rows.dtype == grids.dtype == np.int64
         assert rows.tolist() == want_rows.tolist()
@@ -72,8 +73,31 @@ class TestSplitCoordinates:
     def test_boundary_inclusive_along_each_axis(self):
         c = GMAP.centers[210]
         for off in ([3.0, 0.0], [-3.0, 0.0], [0.0, 3.0], [0.0, -3.0]):
-            rows, grids = kernels.completions(np.array([c + off]), GMAP.centers, 3.0)
+            rows, grids = kernels.completions(np.array([c + off]), GMAP, 3.0)
             assert grids.tolist() == [210]
+
+
+class TestCompletionsEdges:
+    """Points on cell edges and centre lines, at map corners and up to rho off
+    the map, for radii below, at and above half a cell, on square and
+    one-cell-wide maps."""
+
+    @pytest.mark.parametrize("shape", [(20, 20), (1, 7), (7, 1)])
+    @pytest.mark.parametrize("rho", [3.0, 14.999, 15.0, 25.0, 40.0])
+    def test_match_dense(self, shape, rho):
+        gmap = build_grid_map(*shape, 30.0)
+        axes = []
+        for cells in shape:
+            side = cells * 30.0
+            axes.append([k * 30.0 for k in range(cells + 1)]
+                        + [(k + 0.5) * 30.0 for k in range(cells)]
+                        + [-rho, -rho / 2, side + rho / 2, side + rho])
+        pos = np.array([[x, y] for x in axes[0] for y in axes[1]], dtype=np.float64)
+        rows, grids = kernels.completions(pos, gmap, rho)
+        want_rows, want_grids = completions_dense(pos, gmap.centers, rho)
+        assert rows.dtype == grids.dtype == np.int64
+        assert rows.tolist() == want_rows.tolist()
+        assert grids.tolist() == want_grids.tolist()
 
 
 class TestTopS:

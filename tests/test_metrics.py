@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patrolsim.metrics import (
     MetricsAccumulator,
     finalize,
     normalize,
     record_visit,
-    sa_delays,
     sample_instantaneous,
 )
 from patrolsim.world import VisitEvent, WorldState
+
+from oracles import instantaneous_dense, sa_delays
 
 
 def world_with(idleness, t):
@@ -45,6 +48,19 @@ class TestSampleInstantaneous:
         acc = MetricsAccumulator(K=2, n_robots=3, warmup_t0=10000)
         sample_instantaneous(world_with([5, 5], 3), np.zeros(2, dtype=np.int64), acc, 2)
         assert acc.series["t"] == [3]
+
+    @given(st.integers(1, 1600), st.integers(0, 2**40), st.integers(0, 2**40),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_form(self, K, top, t, seed):
+        # K values up to 2**40 sum below 2**53: exact in float64
+        rng = np.random.default_rng(seed)
+        idleness = rng.integers(0, top, K, endpoint=True)
+        bs_utimes = rng.integers(0, t, K, endpoint=True)
+        acc = MetricsAccumulator(K=K, n_robots=3, warmup_t0=0)
+        sample_instantaneous(world_with(idleness, t), bs_utimes, acc, 2)
+        got = tuple(acc.series[key][0] for key in ("i_g", "i_w", "d_msa", "d_wsa"))
+        assert repr(got) == repr(instantaneous_dense(t, idleness, bs_utimes))
 
 
 class TestFinalize:

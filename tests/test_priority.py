@@ -2,8 +2,12 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patrolsim.priority import update_report_priority
+
+from oracles import update_report_priority_vectorised
 
 
 class Updated(NamedTuple):
@@ -137,3 +141,37 @@ class TestBound:
             state = upd(p, omega, inbox, connected=bool(rng.uniform() < 0.5),
                         now=100, p_max=p_max, eta=eta)
             assert 0.0 <= state.p <= cap
+
+
+@st.composite
+def swarms(draw):
+    """Fold inputs for N rows: heard with a zero diagonal, as the graph has;
+    omegas from a small range, so that contact times tie; now >= every omega."""
+    n = draw(st.integers(2, 16))
+    flags = st.lists(st.booleans(), min_size=n, max_size=n)
+    heard = np.array(draw(st.lists(flags, min_size=n, max_size=n)), dtype=bool)
+    np.fill_diagonal(heard, False)
+    omega = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)),
+                     dtype=np.int64)
+    now = draw(st.integers(int(omega.max()), 6))
+    p_max = draw(st.sampled_from((1.0, 425.0, 703.0)) | st.floats(0.5, 1000.0))
+    eta = draw(st.sampled_from((0.0, 0.4, 0.55)) | st.floats(0.0, 1.0, exclude_max=True))
+    priority = st.sampled_from((0.0, p_max, p_max * (1.0 + eta))) | st.floats(
+        0.0, p_max * (1.0 + eta))
+    p = np.array(draw(st.lists(priority, min_size=n, max_size=n)), dtype=np.float64)
+    update = np.array(draw(flags), dtype=bool)
+    connected = np.array(draw(flags), dtype=bool)
+    return p, omega, heard, update, connected, now, p_max, eta
+
+
+class TestMatchesVectorisedFold:
+    @given(swarms())
+    @settings(max_examples=400, deadline=None)
+    def test_same_bits(self, args):
+        p, omega = args[0].copy(), args[1].copy()
+        new_p, new_omega = update_report_priority(*args)
+        want_p, want_omega = update_report_priority_vectorised(*args)
+        assert new_p.dtype == np.float64 and new_omega.dtype == np.int64
+        assert [repr(v) for v in new_p.tolist()] == [repr(v) for v in want_p.tolist()]
+        assert new_omega.tolist() == want_omega.tolist()
+        assert np.array_equal(args[0], p) and np.array_equal(args[1], omega)
