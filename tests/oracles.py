@@ -5,7 +5,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from patrolsim.world import GridMap
+from patrolsim.errors import VerificationError
+from patrolsim.export import _read_text
+from patrolsim.world import GridMap, VisitEvent
 
 
 def new_base(K: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -105,3 +107,51 @@ def update_report_priority_vectorised(p, omega, heard, update, connected_to_bs,
     new_p[reached & ~heard[0] & ~adopt.any(axis=0)] = 0.0
     np.minimum(new_p, p_max * (1.0 + eta), out=new_p, where=reached)
     return new_p, new_omega
+
+
+def read_events_per_line(path) -> List[VisitEvent]:
+    """events.log parsed one line at a time, as VisitEvents in file order."""
+    events = []
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            t, robot, grid = (int(v) for v in line.split(","))
+        except ValueError as exc:
+            raise VerificationError(
+                f"{path}:{lineno}: expected 'time,robot,grid' integers, got {line!r}"
+            ) from exc
+        events.append(VisitEvent(robot, grid, t))
+    return events
+
+
+def replay_events_per_step(events: List[VisitEvent], config) -> Tuple[float, int, np.ndarray]:
+    """I_G, I_W and visit counts by the idleness recursion, one step at a time:
+    increment every grid, reset visited grids, sample after resets,
+    accumulate from warmup_t0. Out-of-range events raise VerificationError."""
+    K = config.K
+    idleness = np.zeros(K, dtype=np.int64)
+    counts = np.zeros((config.n_robots, K), dtype=np.int64)
+    by_time: Dict[int, List[VisitEvent]] = {}
+    for ev in events:
+        if not (1 <= ev.time <= config.mission_steps
+                and 2 <= ev.robot_id <= config.n_robots and 0 <= ev.grid < K):
+            raise VerificationError(
+                f"event {ev.time},{ev.robot_id},{ev.grid}: time must be in "
+                f"1..{config.mission_steps}, robot in 2..{config.n_robots} "
+                f"and grid in 0..{K - 1}"
+            )
+        by_time.setdefault(ev.time, []).append(ev)
+    sum_ig = 0.0
+    max_iw = 0
+    samples = 0  # >= 1: a valid config has warmup_t0 <= mission_steps
+    for t in range(1, config.mission_steps + 1):
+        idleness += 1
+        for ev in by_time.get(t, ()):
+            idleness[ev.grid] = 0
+            counts[ev.robot_id - 1, ev.grid] += 1
+        if t >= config.warmup_t0:
+            sum_ig += float(idleness.mean())
+            max_iw = max(max_iw, int(idleness.max()))
+            samples += 1
+    return sum_ig / samples, max_iw, counts

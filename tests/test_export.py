@@ -3,7 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import read_events_per_line, replay_events_per_step
 from patrolsim import scenario
 from patrolsim.cli import main
 from patrolsim.errors import VerificationError
@@ -14,6 +17,7 @@ from patrolsim.export import (
     write_run_artifacts,
 )
 from patrolsim.scenario import ScenarioConfig, run_trial
+from patrolsim.world import VisitEvent
 
 CFG = ScenarioConfig(
     n_robots=4,
@@ -116,8 +120,8 @@ class TestArtifacts:
     def test_events_rows(self, trial):
         result, out = trial
         events = read_events(out / "events.log")
-        assert len(events) == len(result.events)
-        assert events == result.events
+        assert events.dtype == np.int64 and events.shape == (len(result.events), 3)
+        assert events.tolist() == [[ev.time, ev.robot_id, ev.grid] for ev in result.events]
 
     def test_heatmap_total_is_sum(self, trial):
         result, out = trial
@@ -145,6 +149,14 @@ class TestArtifacts:
         assert len(rows) == CFG.mission_steps
         assert rows[0]["t"] == "1"
 
+    def test_timeseries_header_only_without_series(self, tmp_path):
+        # the sweep path: no series recorded, so no rows under the header
+        result = run_trial(replace(CFG, mission_steps=50, warmup_t0=10), 3,
+                           record_series=False)
+        write_run_artifacts(result, tmp_path)
+        assert (tmp_path / "timeseries.csv").read_bytes() == (
+            b"t,I_g,I_w,D_mSA,D_wSA,n_active,norm_I_g,norm_D_mSA\r\n")
+
 
 class TestVerify:
     def test_untampered_output_verifies(self, trial):
@@ -167,6 +179,95 @@ class TestVerify:
             (broken / p.name).write_bytes(p.read_bytes())
         (broken / "events.log").write_text("\n".join(lines[:-5]) + "\n")
         assert verify_artifacts(broken / "events.log", CFG) != []
+
+
+def _error_or(fn, *args):
+    """fn(*args), or the message of the VerificationError it raises."""
+    try:
+        return fn(*args)
+    except VerificationError as exc:
+        return str(exc)
+
+
+@st.composite
+def missions(draw):
+    """A small config and `time, robot, grid` rows drawn for it: times out of
+    order, cells visited twice in one step (by the same robot or another),
+    cells never visited, empty logs, and warm-up at 0, 1 or the last step."""
+    width, height, n = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    steps = draw(st.integers(1, 40))
+    warmup = draw(st.sampled_from([0, 1, steps]) | st.integers(0, steps))
+    cfg = ScenarioConfig(n_robots=n, width_grids=width, height_grids=height,
+                         mission_steps=steps, warmup_t0=warmup)
+    rows = draw(st.lists(st.tuples(st.integers(1, steps), st.integers(2, n),
+                                   st.integers(0, cfg.K - 1)), max_size=30))
+    if rows:
+        again = draw(st.lists(st.sampled_from(rows), max_size=4))
+        rows += [(t, draw(st.integers(2, n)), g) for t, _, g in again]
+    return cfg, draw(st.permutations(rows))
+
+
+def _replays(rows, cfg):
+    """The gap replay and the per-step reference of the same rows, each as its
+    result or its VerificationError message."""
+    events = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    reference = [VisitEvent(robot, grid, t) for t, robot, grid in rows]
+    return (_error_or(replay_events, events, cfg),
+            _error_or(replay_events_per_step, reference, cfg))
+
+
+def _assert_same_replay(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    (i_g, i_w, counts), (ref_g, ref_w, ref_counts) = got, want
+    assert type(i_w) is int and i_w == ref_w
+    assert np.array_equal(counts, ref_counts)
+    assert i_g == pytest.approx(ref_g, rel=1e-12, abs=0)
+
+
+class TestGapReplay:
+    @given(missions())
+    @settings(max_examples=300, deadline=None)
+    # the one sample follows a visit: the unsampled idleness before it is no peak
+    @example((ScenarioConfig(n_robots=2, width_grids=1, height_grids=1, mission_steps=5,
+                             warmup_t0=5), [(5, 2, 0)]))
+    def test_matches_per_step_replay(self, mission):
+        cfg, rows = mission
+        _assert_same_replay(*_replays(rows, cfg))
+
+    @given(missions(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_first_bad_event_named_as_per_step(self, mission, data):
+        cfg, rows = mission
+        wide = st.tuples(st.integers(-1, cfg.mission_steps + 1),
+                         st.integers(0, cfg.n_robots + 1), st.integers(-1, cfg.K))
+        for row in data.draw(st.lists(wide, min_size=1, max_size=3)):
+            rows.insert(data.draw(st.integers(0, len(rows))), row)
+        _assert_same_replay(*_replays(rows, cfg))
+
+
+fields = (st.text(alphabet="0123456789,+-_ ", max_size=6)
+          | st.integers(-10**20, 10**20).map(str)
+          | st.sampled_from(["99999999999999999999", "-99999999999999999999", "1_0", "+5"]))
+log_lines = st.lists(fields, min_size=1, max_size=4).map(",".join) | st.sampled_from(["", "  "])
+line_ends = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x85", "\u2028"])
+
+
+class TestBulkParse:
+    @given(st.lists(st.tuples(log_lines, line_ends), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_line_parse(self, tmp_path_factory, lines):
+        path = tmp_path_factory.getbasetemp() / "bulk-parse-events.log"
+        path.write_text("".join(line + end for line, end in lines), encoding="utf-8")
+        got, want = _error_or(read_events, path), _error_or(read_events_per_line, path)
+        if isinstance(want, str):
+            assert got == want
+            return
+        rows = [[ev.time, ev.robot_id, ev.grid] for ev in want]
+        assert got.shape == (len(rows), 3) and got.tolist() == rows
+        if all(-2**63 <= v < 2**63 for row in rows for v in row):
+            assert got.dtype == np.int64
 
 
 class TestCli:
@@ -240,6 +341,9 @@ class TestCli:
         ("501,2,3", "time must be in 1..500"),
         ("5,2", "expected 'time,robot,grid'"),
         ("5,2,x", "expected 'time,robot,grid'"),
+        ("5,2,99999999999999999999", "grid in 0..63"),
+        ("-99999999999999999999,2,3", "time must be in 1..500"),
+        ("5,18446744073709551617,3", "robot in 2..4"),
     ])
     def test_verify_malformed_event_exit_3(self, trial, tmp_path, capsys, row, match):
         events = _copy_trial(trial, tmp_path)
