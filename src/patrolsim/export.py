@@ -9,7 +9,7 @@ Artifact set for one trial:
                      scaled by n_active/K (the operational patrollers at t)
   heatmap_robot_<id>.csv   height x width integer matrix, row = y ascending
   heatmap_total.csv  elementwise sum over robots
-  events.log         one `time,robot,grid` row per visit event
+  events.log         `TrialResult.event_log()`: one `time,robot,grid` row per visit
 
 Floats are written with 17 significant digits, so they read back exactly.
 
@@ -109,7 +109,7 @@ def write_run_artifacts(result: TrialResult, out_dir) -> List[Path]:
 
     path = out / "events.log"
     with open(path, "w") as fh:
-        fh.write("".join([f"{ev.time},{ev.robot_id},{ev.grid}\n" for ev in result.events]))
+        fh.write(result.event_log())
     written.append(path)
     return written
 

@@ -1,8 +1,8 @@
-"""Per-robot assumed-idleness bases: own-patrol recording and merges.
+"""Assumed-idleness bases: own-patrol recording and merges.
 
-A base is a pair of K-length int64 arrays (assumed idleness, update time),
-so its footprint is 2K scalars regardless of swarm size; the scenario ages
-every operational base with one array add per step. Received entries
+The swarm's bases are two (N, K) int64 arrays (assumed idleness, update
+time); robot i's base is row i of each, 2K scalars. The scenario ages every
+operational row with one array add per step. Received entries
 win only on a strictly newer update time and are adopted verbatim: an entry
 that traveled h hops is exactly h ticks behind ground truth, which is a
 documented property of the gossip scheme, not something to correct.
@@ -16,9 +16,10 @@ from . import kernels
 from .comms import MessageEnvelope
 
 
-def record_patrol(assumed: np.ndarray, utime: np.ndarray, grid: int, now: int) -> None:
-    assumed[grid] = 0
-    utime[grid] = now
+def record_patrol(assumed: np.ndarray, utime: np.ndarray, rows, grids, now: int) -> None:
+    """Own patrols at `now`: robot row rows[j] of the (N, K) bases visited grids[j]."""
+    assumed[rows, grids] = 0
+    utime[rows, grids] = now
 
 
 def merge_received(

@@ -14,7 +14,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .world import VisitEvent, WorldState
+from .world import WorldState
 
 SERIES_KEYS = ("t", "i_g", "i_w", "d_msa", "d_wsa", "n_active")
 
@@ -72,8 +72,10 @@ def sample_instantaneous(
         s["n_active"].append(n_active)
 
 
-def record_visit(acc: MetricsAccumulator, event: VisitEvent) -> None:
-    acc.visit_counts[event.robot_id - 1, event.grid] += 1
+def record_visit(acc: MetricsAccumulator, events: np.ndarray) -> None:
+    """Count `time, robot, grid` rows into the (N, K) heatmaps, with one
+    unbuffered add, so repeated pairs count every time."""
+    np.add.at(acc.visit_counts, (events[:, 1] - 1, events[:, 2]), 1)
 
 
 def finalize(acc: MetricsAccumulator):

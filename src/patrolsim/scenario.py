@@ -10,7 +10,8 @@ method that reads t from the world clock:
      robots they heard at t-1
   4. `_move`: operational patrollers take one kinematic step toward the
      temporary grid
-  5. `_complete`: detect patrol completions, reset idleness, record
+  5. `_complete`: detect the step's patrol completions as one block of
+     `time, robot, grid` rows, reset idleness, count the visits, record
      own-patrol entries, and re-select targets for robots whose temporary
      grid completed or that recovered at t
   6. `_broadcast`: compute the connectivity graph at t and enqueue each
@@ -37,13 +38,7 @@ from .comms import MessageEnvelope, compute_connectivity, deliver, truncate_know
 from .errors import ConfigurationError
 from .motion import KinematicLimits, holonomic_step, step_toward
 from .priority import update_report_priority
-from .world import (
-    VisitEvent,
-    advance_time,
-    build_grid_map,
-    detect_patrol_completions,
-    new_world,
-)
+from .world import advance_time, build_grid_map, detect_patrol_completions, new_world
 
 
 @dataclass(frozen=True)
@@ -80,21 +75,23 @@ class ScenarioConfig:
         return self.width_grids * self.height_grids
 
     def validate(self) -> "ScenarioConfig":
-        def positive(name):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be > 0, got {getattr(self, name)}")
-
-        for name in _FLOAT_FIELDS:  # precomputed: every construction and replace validates
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
+        values = vars(self)
+        for name, accepted, is_bool in _TYPE_CHECKS:  # precomputed: every construction validates
+            value = values[name]
+            if not isinstance(value, accepted) or (type(value) is bool) is not is_bool:
+                raise ConfigurationError(
+                    f"{name} must be of type {FIELD_TYPES[name].__name__}, got {value!r}")
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(values[name]):
+                raise ConfigurationError(f"{name} must be finite, got {values[name]}")
         if self.n_robots < 2:
             raise ConfigurationError(f"n_robots must be >= 2, got {self.n_robots}")
         if self.width_grids < 1 or self.height_grids < 1:
             raise ConfigurationError("width_grids and height_grids must be >= 1")
         for name in ("grid_size", "rho", "v_max", "phi_max", "d_c", "d_s", "delta",
                      "p_max", "sigma"):
-            positive(name)
+            if values[name] <= 0:
+                raise ConfigurationError(f"{name} must be > 0, got {values[name]}")
         if self.mission_steps < 1:
             raise ConfigurationError("mission_steps must be >= 1")
         if self.warmup_t0 < 0:
@@ -137,6 +134,9 @@ class ScenarioConfig:
 
 FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
 _FLOAT_FIELDS = tuple(name for name, typ in FIELD_TYPES.items() if typ is float)
+# (field, accepted types, is the bool field); a float field also takes an int
+_TYPE_CHECKS = tuple((name, (int, float) if typ is float else typ, typ is bool)
+                     for name, typ in FIELD_TYPES.items())
 
 
 def _parse_value(key: str, raw: str):
@@ -235,7 +235,7 @@ class Simulation:
         self.sent = np.zeros(n, dtype=bool)  # rows that broadcast at t-1
         self.outbox: Dict[int, MessageEnvelope] = {}
         self.metrics = metrics.MetricsAccumulator(K, n, config.warmup_t0, record_series)
-        self.events: List[VisitEvent] = []
+        self.event_blocks = [np.empty((0, 3), dtype=np.int64)]  # then one per step with visits
 
     def _select_target(self, i: int) -> None:
         cfg = self.config
@@ -251,7 +251,7 @@ class Simulation:
             target = strategy.random_select(cur, self.grid_map, self.rng)
         self.temp[i] = strategy.temporary_target(cur, target, self.grid_map)
 
-    def step(self) -> List[VisitEvent]:
+    def step(self) -> np.ndarray:
         self._clock()
         self._merge(deliver(self.outbox, self.prev_graph))
         self._move()
@@ -299,20 +299,19 @@ class Simulation:
         self.pos[:] = pos
         self.heading[:] = heading
 
-    def _complete(self) -> List[VisitEvent]:
+    def _complete(self) -> np.ndarray:
         """Record completions; re-select, in ascending row order, every row in
         `need_select`: completed temporary grids and robots that recovered."""
         rows = np.flatnonzero(self.alive[1:]) + 1
         events = detect_patrol_completions(
-            self.world, self.grid_map, self.pos[rows], (rows + 1).tolist(), self.config.rho
+            self.world, self.grid_map, self.pos[rows], rows + 1, self.config.rho
         )
-        for ev in events:
-            self.events.append(ev)
-            metrics.record_visit(self.metrics, ev)
-            i = ev.robot_id - 1
-            knowledge.record_patrol(self.assumed[i], self.utime[i], ev.grid, ev.time)
-            if ev.grid == self.temp[i]:
-                self.need_select[i] = True
+        if len(events):
+            self.event_blocks.append(events)
+            metrics.record_visit(self.metrics, events)
+            robots, grids = events[:, 1] - 1, events[:, 2]
+            knowledge.record_patrol(self.assumed, self.utime, robots, grids, self.world.t)
+            self.need_select[robots[grids == self.temp[robots]]] = True
         for i in np.flatnonzero(self.need_select).tolist():
             self._select_target(i)
         self.need_select[:] = False
@@ -343,7 +342,7 @@ class Simulation:
             *metrics.finalize(self.metrics),
             visit_counts=self.metrics.visit_counts.copy(),
             series={k: np.asarray(v) for k, v in self.metrics.series.items()},
-            events=list(self.events),
+            events=np.concatenate(self.event_blocks),
         )
 
 
@@ -356,7 +355,7 @@ class TrialResult:
     D_WSA: int
     visit_counts: np.ndarray            # (N, K); row 0 (the BS) stays zero
     series: Dict[str, np.ndarray]
-    events: List[VisitEvent]
+    events: np.ndarray                  # (n, 3) int64 rows `time, robot, grid`
 
     @property
     def seed(self) -> int:
@@ -369,11 +368,12 @@ class TrialResult:
         return {**raw,
                 **{f"norm_{k}": metrics.normalize(v, patrollers, K) for k, v in raw.items()}}
 
+    def event_log(self) -> str:
+        """The text of events.log: one `time,robot,grid` line per visit."""
+        return ("%d,%d,%d\n" * len(self.events)) % tuple(self.events.ravel().tolist())
+
     def event_digest(self) -> str:
-        h = hashlib.sha256()
-        for ev in self.events:
-            h.update(f"{ev.time},{ev.robot_id},{ev.grid}\n".encode())
-        return h.hexdigest()
+        return hashlib.sha256(self.event_log().encode()).hexdigest()
 
 
 def run_trial(config: ScenarioConfig, seed: int, record_series: bool = True) -> TrialResult:
@@ -398,8 +398,7 @@ def run_batch(
             results = list(pool.map(run_trial, *jobs))
     else:
         results = list(map(run_trial, *jobs))
-    summary = summarize(results)
-    return results, summary
+    return results, summarize(results)
 
 
 def summarize(results: List[TrialResult]) -> Dict[str, Dict[str, float]]:

@@ -4,11 +4,11 @@ The field is a rectangular grid of square cells. Cell k maps to integer
 coordinates (ix, iy) = (k mod width, k div width) with its center at
 ((ix + 0.5) * grid_size, (iy + 0.5) * grid_size), so every center lies
 strictly inside the first quadrant and the base station sits at the origin
-corner.
+corner. A patrol visit is one `time, robot, grid` row of an (n, 3) int64
+array, the layout of `TrialResult.events` and of `events.log`.
 """
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple
 
 import numpy as np
 
@@ -76,27 +76,24 @@ def advance_time(world: WorldState) -> None:
     world.idleness += 1
 
 
-class VisitEvent(NamedTuple):
-    robot_id: int  # 1-based; the base station (id 1) never appears
-    grid: int
-    time: int
-
-
 def detect_patrol_completions(
     world: WorldState,
     grid_map: GridMap,
     positions: np.ndarray,
-    robot_ids,
+    robot_ids: np.ndarray,
     rho: float,
-) -> List[VisitEvent]:
-    """Emit a VisitEvent per (robot, grid) pair within rho and reset idleness.
+) -> np.ndarray:
+    """One `time, robot, grid` row per (robot, grid) pair within rho, robots
+    ascending, and a reset of each visited grid's idleness.
 
-    `positions` holds operational patrollers only, and `robot_ids` their ids
-    as Python ints. Several robots on one grid yield several events but a
-    single reset.
+    `positions` holds operational patrollers only, and `robot_ids` their
+    1-based ids. Several robots on one grid yield several rows but a single
+    reset; no (robot, grid) pair repeats within a step.
     """
     rows, grids = kernels.completions(positions, grid_map, rho)
-    t = world.t
-    events = [VisitEvent(robot_ids[r], g, t) for r, g in zip(rows.tolist(), grids.tolist())]
+    events = np.empty((rows.size, 3), dtype=np.int64)
+    events[:, 0] = world.t
+    events[:, 1] = robot_ids[rows]
+    events[:, 2] = grids
     world.idleness[grids] = 0
     return events

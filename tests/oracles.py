@@ -1,13 +1,16 @@
 """Scalar reference implementations the tests check the package against."""
 
+import contextlib
 import math
 from typing import Dict, List, Tuple
+from unittest import mock
 
 import numpy as np
 
+from patrolsim import kernels, metrics, scenario, strategy
 from patrolsim.errors import VerificationError
 from patrolsim.export import _read_text
-from patrolsim.world import GridMap, VisitEvent
+from patrolsim.world import GridMap
 
 
 def new_base(K: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -109,8 +112,49 @@ def update_report_priority_vectorised(p, omega, heard, update, connected_to_bs,
     return new_p, new_omega
 
 
-def read_events_per_line(path) -> List[VisitEvent]:
-    """events.log parsed one line at a time, as VisitEvents in file order."""
+def sample_instantaneous_dense(world, bs_utimes, acc, n_active):
+    """`metrics.sample_instantaneous` with its four values from
+    `instantaneous_dense`, accumulated the same way."""
+    t = world.t
+    i_g, i_w, d_msa, d_wsa = instantaneous_dense(t, world.idleness, bs_utimes)
+    if t >= acc.warmup_t0:
+        acc.sum_ig += i_g
+        acc.max_iw = max(acc.max_iw, i_w)
+        acc.sum_dmsa += d_msa
+        acc.max_dwsa = max(acc.max_dwsa, d_wsa)
+        acc.samples += 1
+    if acc.record_series:
+        for key, value in zip(metrics.SERIES_KEYS, (t, i_g, i_w, d_msa, d_wsa, n_active)):
+            acc.series[key].append(value)
+
+
+# (owner, name, reference): each fast path of the step at the name the step
+# looks it up by, with the reference that replaces it there
+REFERENCES = [
+    (kernels, "completions",
+     lambda positions, grid_map, rho: completions_dense(positions, grid_map.centers, rho)),
+    (kernels, "top_s", top_s_sorted),
+    (scenario, "deliver", deliver_per_sender),
+    (scenario, "update_report_priority", update_report_priority_vectorised),
+    (scenario, "compute_connectivity", connectivity_dense),
+    (strategy, "candidate_grids", candidate_grids_dense),
+    (metrics, "sample_instantaneous", sample_instantaneous_dense),
+]
+
+
+@contextlib.contextmanager
+def reference_step():
+    """Run every `Simulation` step on the references: each of `REFERENCES`
+    is installed at its name, and the fast path restored on exit."""
+    with contextlib.ExitStack() as stack:
+        for owner, name, reference in REFERENCES:
+            stack.enter_context(mock.patch.object(owner, name, reference))
+        yield
+
+
+def read_events_per_line(path) -> List[List[int]]:
+    """events.log parsed one line at a time, as `time, robot, grid` rows in
+    file order."""
     events = []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
@@ -121,35 +165,36 @@ def read_events_per_line(path) -> List[VisitEvent]:
             raise VerificationError(
                 f"{path}:{lineno}: expected 'time,robot,grid' integers, got {line!r}"
             ) from exc
-        events.append(VisitEvent(robot, grid, t))
+        events.append([t, robot, grid])
     return events
 
 
-def replay_events_per_step(events: List[VisitEvent], config) -> Tuple[float, int, np.ndarray]:
-    """I_G, I_W and visit counts by the idleness recursion, one step at a time:
-    increment every grid, reset visited grids, sample after resets,
-    accumulate from warmup_t0. Out-of-range events raise VerificationError."""
+def replay_events_per_step(events, config) -> Tuple[float, int, np.ndarray]:
+    """I_G, I_W and visit counts from `time, robot, grid` rows by the idleness
+    recursion, one step at a time: increment every grid, reset visited grids,
+    sample after resets, accumulate from warmup_t0. Out-of-range events raise
+    VerificationError."""
     K = config.K
     idleness = np.zeros(K, dtype=np.int64)
     counts = np.zeros((config.n_robots, K), dtype=np.int64)
-    by_time: Dict[int, List[VisitEvent]] = {}
-    for ev in events:
-        if not (1 <= ev.time <= config.mission_steps
-                and 2 <= ev.robot_id <= config.n_robots and 0 <= ev.grid < K):
+    by_time: Dict[int, List[Tuple[int, int]]] = {}
+    for t, robot, grid in events:
+        if not (1 <= t <= config.mission_steps
+                and 2 <= robot <= config.n_robots and 0 <= grid < K):
             raise VerificationError(
-                f"event {ev.time},{ev.robot_id},{ev.grid}: time must be in "
+                f"event {t},{robot},{grid}: time must be in "
                 f"1..{config.mission_steps}, robot in 2..{config.n_robots} "
                 f"and grid in 0..{K - 1}"
             )
-        by_time.setdefault(ev.time, []).append(ev)
+        by_time.setdefault(t, []).append((robot, grid))
     sum_ig = 0.0
     max_iw = 0
     samples = 0  # >= 1: a valid config has warmup_t0 <= mission_steps
     for t in range(1, config.mission_steps + 1):
         idleness += 1
-        for ev in by_time.get(t, ()):
-            idleness[ev.grid] = 0
-            counts[ev.robot_id - 1, ev.grid] += 1
+        for robot, grid in by_time.get(t, ()):
+            idleness[grid] = 0
+            counts[robot - 1, grid] += 1
         if t >= config.warmup_t0:
             sum_ig += float(idleness.mean())
             max_iw = max(max_iw, int(idleness.max()))

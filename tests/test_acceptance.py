@@ -72,8 +72,8 @@ def swarm5_traced():
     visited = set()
     invariant_ok = True
     for step in range(SWARM5.mission_steps):
-        for ev in sim.step():
-            visited.add((ev.grid, ev.time))
+        for t, _, grid in sim.step().tolist():
+            visited.add((grid, t))
         if step % 500 == 0 and not (sim.assumed <= sim.world.t - sim.utime).all():
             invariant_ok = False
     result = sim._result()
@@ -272,7 +272,8 @@ def test_10_failure_recovery_stability(failure_run):
     covered = []
     for lo, hi in ((1, cfg.fail_at), (cfg.fail_at, cfg.recover_at),
                    (cfg.recover_at, cfg.mission_steps + 1)):
-        grids = {ev.grid for ev in r.events if lo <= ev.time < hi}
+        time, grid = r.events[:, 0], r.events[:, 2]
+        grids = set(grid[(lo <= time) & (time < hi)].tolist())
         covered.append(len(grids) == cfg.K)
     ok = pairwise_ok and all(covered)
     report(10, "stable through failure and recovery", ok,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,6 @@ from patrolsim.export import (
     write_run_artifacts,
 )
 from patrolsim.scenario import ScenarioConfig, run_trial
-from patrolsim.world import VisitEvent
 
 CFG = ScenarioConfig(
     n_robots=4,
@@ -120,8 +120,16 @@ class TestArtifacts:
     def test_events_rows(self, trial):
         result, out = trial
         events = read_events(out / "events.log")
-        assert events.dtype == np.int64 and events.shape == (len(result.events), 3)
-        assert events.tolist() == [[ev.time, ev.robot_id, ev.grid] for ev in result.events]
+        assert events.dtype == result.events.dtype == np.int64
+        assert np.array_equal(events, result.events)
+
+    def test_event_log_is_the_file(self, trial):
+        # one text: what event_log() formats is what events.log holds and
+        # what event_digest() hashes
+        result, out = trial
+        text = result.event_log().encode()
+        assert text == (out / "events.log").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == result.event_digest()
 
     def test_heatmap_total_is_sum(self, trial):
         result, out = trial
@@ -211,9 +219,8 @@ def _replays(rows, cfg):
     """The gap replay and the per-step reference of the same rows, each as its
     result or its VerificationError message."""
     events = np.array(rows, dtype=np.int64).reshape(-1, 3)
-    reference = [VisitEvent(robot, grid, t) for t, robot, grid in rows]
     return (_error_or(replay_events, events, cfg),
-            _error_or(replay_events_per_step, reference, cfg))
+            _error_or(replay_events_per_step, rows, cfg))
 
 
 def _assert_same_replay(got, want):
@@ -264,9 +271,8 @@ class TestBulkParse:
         if isinstance(want, str):
             assert got == want
             return
-        rows = [[ev.time, ev.robot_id, ev.grid] for ev in want]
-        assert got.shape == (len(rows), 3) and got.tolist() == rows
-        if all(-2**63 <= v < 2**63 for row in rows for v in row):
+        assert got.shape == (len(want), 3) and got.tolist() == want
+        if all(-2**63 <= v < 2**63 for row in want for v in row):
             assert got.dtype == np.int64
 
 

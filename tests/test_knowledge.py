@@ -35,13 +35,18 @@ class StaticNet:
         inboxes = deliver(self.outbox, self.graph)
         for i in range(self.n):
             merge_received(self.assumed[i], self.utime[i], inboxes[i], self.K)
-        for i, grid in visits:
-            record_patrol(self.assumed[i], self.utime[i], grid, self.t)
+        rows, grids = np.array(visits, dtype=np.int64).reshape(-1, 2).T
+        record_patrol(self.assumed, self.utime, rows, grids, self.t)
         self.outbox = {}
         for i in range(self.n):
             if self.graph[i].any():
                 g, iv, tv = truncate_knowledge(self.assumed[i], self.utime[i], self.s)
                 self.outbox[i] = _env(g, iv, tv)
+
+
+def patrol_base(assumed, utime, grid, now):
+    """record_patrol on one robot's K-long base, as row 0 of a swarm."""
+    record_patrol(assumed[None], utime[None], [0], [grid], now)
 
 
 class TestTickAssumptions:
@@ -67,18 +72,18 @@ class TestTickAssumptions:
 class TestRecordPatrol:
     def test_visit_sets_entry(self):
         assumed, utime = new_base(20)
-        record_patrol(assumed, utime, 17, 250)
+        patrol_base(assumed, utime, 17, 250)
         assert assumed[17] == 0 and utime[17] == 250
 
     def test_revisit_overwrites(self):
         assumed, utime = new_base(20)
-        record_patrol(assumed, utime, 17, 250)
-        record_patrol(assumed, utime, 17, 300)
+        patrol_base(assumed, utime, 17, 250)
+        patrol_base(assumed, utime, 17, 300)
         assert assumed[17] == 0 and utime[17] == 300
 
     def test_visit_then_ticks(self):
         assumed, utime = new_base(20)
-        record_patrol(assumed, utime, 17, 250)
+        patrol_base(assumed, utime, 17, 250)
         for _ in range(5):
             tick_assumptions(assumed)
         assert assumed[17] == 5 and utime[17] == 250

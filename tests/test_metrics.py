@@ -10,7 +10,7 @@ from patrolsim.metrics import (
     record_visit,
     sample_instantaneous,
 )
-from patrolsim.world import VisitEvent, WorldState
+from patrolsim.world import WorldState
 
 from oracles import instantaneous_dense, sa_delays
 
@@ -119,21 +119,18 @@ class TestSADelays:
 class TestHeatmaps:
     def test_single_event(self):
         acc = MetricsAccumulator(K=9, n_robots=4, warmup_t0=0)
-        record_visit(acc, VisitEvent(2, 5, 10))
+        record_visit(acc, np.array([[10, 2, 5]]))
         assert acc.visit_counts[1, 5] == 1
 
     def test_total_is_sum_over_robots(self, rng):
         acc = MetricsAccumulator(K=9, n_robots=4, warmup_t0=0)
-        events = [
-            VisitEvent(int(rng.integers(2, 5)), int(rng.integers(9)), t)
-            for t in range(200)
-        ]
-        for ev in events:
-            record_visit(acc, ev)
+        events = np.array([[t, rng.integers(2, 5), rng.integers(9)] for t in range(200)])
+        for t in range(200):  # one step's rows per call
+            record_visit(acc, events[t:t + 1])
         total = acc.visit_counts.sum(axis=0)
         assert total.sum() == len(events)
         # replayed counts match the accumulator exactly
         replay = np.zeros((4, 9), dtype=np.int64)
-        for ev in events:
-            replay[ev.robot_id - 1, ev.grid] += 1
+        for _, robot, grid in events.tolist():
+            replay[robot - 1, grid] += 1
         assert np.array_equal(replay, acc.visit_counts)

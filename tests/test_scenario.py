@@ -42,6 +42,22 @@ INVALID_VALUES = [
 ]
 
 
+# (field, value of the wrong type): each runs or fails wrongly if accepted
+WRONG_TYPES = [
+    ("holonomic", "no"),        # truthy: ran holonomic
+    ("holonomic", 0),
+    ("bandwidth_s", 8.7),       # ran as 8, and metrics.csv failed verify
+    ("mission_steps", 300.0),   # TypeError inside the run
+    ("n_robots", 4.0),
+    ("n_robots", True),
+    ("seed", 1.5),
+    ("seed", None),
+    ("rho", True),
+    ("rho", "3"),
+    ("strategy", None),
+]
+
+
 class TestConfig:
     def test_parse_round_trip(self, tmp_path):
         path = tmp_path / "mission.cfg"
@@ -106,6 +122,19 @@ class TestConfig:
         path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
         with pytest.raises(ConfigurationError, match=match):
             parse_config(path)
+
+    @pytest.mark.parametrize("field, value", WRONG_TYPES)
+    def test_wrong_type_rejected(self, field, value):
+        match = f"{field} must be of type"
+        with pytest.raises(ConfigurationError, match=match):
+            ScenarioConfig(**{**asdict(SMALL), field: value})
+        with pytest.raises(ConfigurationError, match=match):
+            replace(SMALL, **{field: value})
+        with pytest.raises(ConfigurationError, match=match):
+            if field == "seed":  # the trial seed is checked like the field
+                Simulation(SMALL, value)
+            else:
+                Simulation(replace(SMALL, **{field: value}), 1)
 
     def test_random_walk_needs_two_cells(self):
         one_cell = replace(SMALL, width_grids=1, height_grids=1, mission_steps=150,
@@ -191,25 +220,40 @@ class TestRunTrial:
         sim = Simulation(SMALL, 9)
         by_time = {}
         for _ in range(SMALL.mission_steps):
-            for ev in sim.step():
-                by_time.setdefault(ev.time, []).append(ev)
+            for t, _, grid in sim.step().tolist():
+                by_time.setdefault(t, []).append(grid)
         idleness = np.zeros(SMALL.K, dtype=np.int64)
         for t in range(1, SMALL.mission_steps + 1):
             idleness += 1
-            for ev in by_time.get(t, ()):
-                idleness[ev.grid] = 0
+            for grid in by_time.get(t, ()):
+                idleness[grid] = 0
         assert np.array_equal(idleness, sim.world.idleness)
 
     def test_event_count_equals_heatmap_sum(self):
         r = run_trial(SMALL, 7)
         assert len(r.events) == r.visit_counts.sum()
 
+    def test_visit_counts_are_bincount_of_events(self):
+        r = run_trial(SMALL, 7)
+        n, K = SMALL.n_robots, SMALL.K
+        counts = np.bincount((r.events[:, 1] - 1) * K + r.events[:, 2], minlength=n * K)
+        assert np.array_equal(counts.reshape(n, K), r.visit_counts)
+
+    def test_step_blocks_concatenate_to_events(self):
+        sim = Simulation(SMALL, 7)
+        blocks = [sim.step() for _ in range(SMALL.mission_steps)]
+        assert all(b.dtype == np.int64 and b.shape[1:] == (3,) for b in blocks)
+        events = sim._result().events
+        assert events.dtype == np.int64
+        assert np.array_equal(np.concatenate(blocks), events)
+        assert np.array_equal(events, run_trial(SMALL, 7).events)
+
     def test_knowledge_entries_map_to_real_visits(self):
         sim = Simulation(SMALL, 13)
         visited = set()
         for _ in range(SMALL.mission_steps):
-            for ev in sim.step():
-                visited.add((ev.grid, ev.time))
+            for t, _, grid in sim.step().tolist():
+                visited.add((grid, t))
         for i in range(SMALL.n_robots):
             for k in range(SMALL.K):
                 if sim.utime[i, k] > 0:
@@ -253,10 +297,10 @@ class TestFailureSchedule:
             cfg = replace(SMALL, fail_fraction=fail_fraction, fail_at=100,
                           recover_at=200, mission_steps=300, warmup_t0=10)
             r = run_trial(cfg, 3)
-            for ev in r.events:
-                if 100 <= ev.time < 200:
-                    assert ev.robot_id not in failed
-            assert any(ev.time >= 200 for ev in r.events)
+            for t, robot, _ in r.events.tolist():
+                if 100 <= t < 200:
+                    assert robot not in failed
+            assert any(t >= 200 for t in r.events[:, 0].tolist())
 
 
 class TestBatchAndSweep:

@@ -68,9 +68,10 @@ class TestDetectPatrolCompletions:
         world.t = 10
         world.idleness[:] = 10
         events = detect_patrol_completions(
-            world, gmap20, np.array([[15.0, 15.0]]), [2], 3.0
+            world, gmap20, np.array([[15.0, 15.0]]), np.array([2]), 3.0
         )
-        assert [(e.robot_id, e.grid, e.time) for e in events] == [(2, 0, 10)]
+        assert events.dtype == np.int64
+        assert [(r, g, t) for t, r, g in events.tolist()] == [(2, 0, 10)]
         assert world.idleness[0] == 0
 
     def test_beyond_threshold_no_event(self, gmap20):
@@ -78,9 +79,9 @@ class TestDetectPatrolCompletions:
         world.t = 10
         world.idleness[:] = 10
         events = detect_patrol_completions(
-            world, gmap20, np.array([[15.0, 18.5]]), [2], 3.0
+            world, gmap20, np.array([[15.0, 18.5]]), np.array([2]), 3.0
         )
-        assert events == []
+        assert events.shape == (0, 3)
         assert world.idleness[0] == 10
 
     def test_two_robots_single_reset(self, gmap20):
@@ -90,8 +91,8 @@ class TestDetectPatrolCompletions:
         k = gmap20.cell_index(3, 3)
         c = gmap20.centers[k]
         positions = np.array([c + [1.0, 0.0], c + [0.0, -1.5]])
-        events = detect_patrol_completions(world, gmap20, positions, [2, 5], 3.0)
-        assert sorted((e.robot_id, e.grid) for e in events) == [(2, k), (5, k)]
+        events = detect_patrol_completions(world, gmap20, positions, np.array([2, 5]), 3.0)
+        assert sorted((r, g) for _, r, g in events.tolist()) == [(2, k), (5, k)]
         assert world.idleness[k] == 0
 
     def test_brute_force_recheck(self, gmap20, rng):
@@ -99,11 +100,11 @@ class TestDetectPatrolCompletions:
         world = new_world(gmap20.K)
         world.t = 50
         positions = rng.uniform(0, 600, size=(6, 2))
-        ids = [2, 3, 4, 5, 6, 7]
+        ids = np.arange(2, 8)
         events = detect_patrol_completions(world, gmap20, positions, ids, 25.0)
         expected = set()
         for r, pos in zip(ids, positions):
             for k in range(gmap20.K):
                 if np.hypot(*(pos - gmap20.centers[k])) <= 25.0:
                     expected.add((r, k))
-        assert {(e.robot_id, e.grid) for e in events} == expected
+        assert {(r, g) for _, r, g in events.tolist()} == expected
