@@ -11,9 +11,9 @@ method that reads t from the world clock:
   4. `_move`: operational patrollers take one kinematic step toward the
      temporary grid
   5. `_complete`: detect the step's patrol completions as one block of
-     `time, robot, grid` rows, reset idleness, count the visits, record
-     own-patrol entries, and re-select targets for robots whose temporary
-     grid completed or that recovered at t
+     `time, robot, grid` rows (`_result` counts all blocks' visits once),
+     reset idleness, record own-patrol entries, and re-select targets for
+     robots whose temporary grid completed or that recovered at t
   6. `_broadcast`: compute the connectivity graph at t and enqueue each
      connected robot's top-s knowledge slice for delivery at t+1
   7. `_sample`: sample instantaneous metrics
@@ -308,7 +308,6 @@ class Simulation:
         )
         if len(events):
             self.event_blocks.append(events)
-            metrics.record_visit(self.metrics, events)
             robots, grids = events[:, 1] - 1, events[:, 2]
             knowledge.record_patrol(self.assumed, self.utime, robots, grids, self.world.t)
             self.need_select[robots[grids == self.temp[robots]]] = True
@@ -337,12 +336,14 @@ class Simulation:
         return self._result()
 
     def _result(self) -> "TrialResult":
+        events = np.concatenate(self.event_blocks)
+        metrics.record_visit(self.metrics, events)
         return TrialResult(
             self.config,
             *metrics.finalize(self.metrics),
             visit_counts=self.metrics.visit_counts.copy(),
             series={k: np.asarray(v) for k, v in self.metrics.series.items()},
-            events=np.concatenate(self.event_blocks),
+            events=events,
         )
 
 
@@ -382,17 +383,18 @@ def run_trial(config: ScenarioConfig, seed: int, record_series: bool = True) -> 
 
 def run_batch(
     config: ScenarioConfig,
+    *configs: ScenarioConfig,
     workers: int = 1,
     record_series: bool = True,
 ) -> Tuple[List[TrialResult], Dict[str, Dict[str, float]]]:
-    """`config.trials` independent trials with seeds config.seed,
-    config.seed+1, ..., on at most that many worker processes (serially when
-    that is 1)."""
+    """Every given config's `trials` trials, config by config, with seeds
+    c.seed, c.seed+1, ... each, on one pool of at most that many worker
+    processes (serially when that is 1). The summary covers every result."""
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    jobs = (itertools.repeat(config), range(config.seed, config.seed + config.trials),
-            itertools.repeat(record_series))
-    workers = min(workers, config.trials)
+    pairs = [(c, seed) for c in (config, *configs) for seed in range(c.seed, c.seed + c.trials)]
+    jobs = (*zip(*pairs), itertools.repeat(record_series))
+    workers = min(workers, len(pairs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_trial, *jobs))
@@ -434,12 +436,14 @@ def parameter_sweep(
     workers: int = 1,
 ) -> List[Dict[str, float]]:
     """Exhaustive sweep over {eta} x {p_max} x {sigma}: `trials` trials per
-    point, with seeds base_seed, base_seed+1, ... at every point."""
+    point, with seeds base_seed, base_seed+1, ... at every point, run as one
+    `run_batch` of points x `trials` jobs and summarized point by point."""
     point_cfgs = sweep_points(replace(config, trials=trials, seed=base_seed),
                               etas, p_maxes, sigmas)
+    results, _ = run_batch(*point_cfgs, workers=workers, record_series=False)
     rows = []
-    for point_cfg in point_cfgs:
-        results, summary = run_batch(point_cfg, workers=workers, record_series=False)
+    for j, point_cfg in enumerate(point_cfgs):
+        summary = summarize(results[j * trials:(j + 1) * trials])
         rows.append({
             "eta": point_cfg.eta,
             "p_max": point_cfg.p_max,

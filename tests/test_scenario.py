@@ -13,6 +13,7 @@ from patrolsim.scenario import (
     run_batch,
     run_trial,
     scheduled_failures,
+    summarize,
 )
 
 SMALL = ScenarioConfig(
@@ -303,6 +304,30 @@ class TestFailureSchedule:
             assert any(t >= 200 for t in r.events[:, 0].tolist())
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The size of every pool that run_batch starts; each maps in this process."""
+    from patrolsim import scenario
+
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(scenario, "ProcessPoolExecutor", InProcessPool)
+    return started
+
+
 class TestBatchAndSweep:
     def test_batch_aggregate_mean(self):
         results, summary = run_batch(replace(SMALL, trials=3, seed=10))
@@ -327,15 +352,20 @@ class TestBatchAndSweep:
         batch, _ = run_batch(replace(cfg, trials=3, seed=20))
         assert [r.config.seed for r in batch] == [20, 21, 22]
         swept = []
+        calls = []
         run = scenario.run_batch
 
         def keep(*args, **kwargs):
             results, summary = run(*args, **kwargs)
+            calls.append(args)
             swept.extend(results)
             return results, summary
 
         monkeypatch.setattr(scenario, "run_batch", keep)
         parameter_sweep(cfg, [0.4, 0.6], [200.0], [150.0], 2, 30)
+        # one batch of every point's trials, point by point: what a caller
+        # that wraps run_batch to collect a sweep's trials relies on
+        assert [[c.eta for c in args] for args in calls] == [[0.4, 0.6]]
         assert [(r.config.eta, r.config.seed) for r in swept] == [
             (0.4, 30), (0.4, 31), (0.6, 30), (0.6, 31)]
         for r in batch + swept:
@@ -350,27 +380,10 @@ class TestBatchAndSweep:
         _, batch = run_batch(replace(SMALL, trials=2, seed=8))
         assert single[0]["mean_I_G"] == pytest.approx(batch["I_G"]["mean"])
 
-    def test_batch_starts_at_most_trials_workers(self, monkeypatch):
-        from patrolsim import scenario
-
-        pools = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
+    def test_batch_starts_at_most_trials_workers(self, pools):
         cfg = replace(SMALL, mission_steps=150, warmup_t0=10, trials=2, seed=5)
         serial, _ = run_batch(cfg)
-        monkeypatch.setattr(scenario, "ProcessPoolExecutor", InProcessPool)
+        assert pools == []
         pooled, _ = run_batch(cfg, workers=64)
         assert pools == [2]
         single, _ = run_batch(replace(cfg, trials=1), workers=4)
@@ -378,6 +391,39 @@ class TestBatchAndSweep:
         assert [r.metric_row() for r in pooled] == [r.metric_row() for r in serial]
         assert [r.event_digest() for r in pooled] == [r.event_digest() for r in serial]
         assert single[0].event_digest() == serial[0].event_digest()
+
+    def test_sweep_starts_one_pool_for_all_points(self, pools):
+        cfg = replace(SMALL, mission_steps=150, warmup_t0=10)
+        grid = ([0.4, 0.5], [200.0], [150.0])
+        pooled = parameter_sweep(cfg, *grid, 1, 8, workers=4)
+        assert pools == [2]
+        assert repr(pooled) == repr(parameter_sweep(cfg, *grid, 1, 8))
+        assert pools == [2]
+
+    def test_pooled_sweep_rows_equal_serial(self):
+        cfg = replace(SMALL, mission_steps=150, warmup_t0=10)
+        grid = ([0.4, 0.5], [200.0], [150.0])
+        pooled = parameter_sweep(cfg, *grid, 1, 8, workers=2)
+        assert repr(pooled) == repr(parameter_sweep(cfg, *grid, 1, 8))
+
+    def test_batch_of_configs_is_their_batches_in_order(self):
+        a = replace(SMALL, mission_steps=150, warmup_t0=10, trials=2, seed=3)
+        b = replace(a, eta=0.3, trials=1, seed=9)
+        both, summary = run_batch(a, b)
+        apart = run_batch(a)[0] + run_batch(b)[0]
+        assert [r.seed for r in both] == [r.seed for r in apart] == [3, 4, 9]
+        assert [r.event_digest() for r in both] == [r.event_digest() for r in apart]
+        assert [r.metric_row() for r in both] == [r.metric_row() for r in apart]
+        assert summary == summarize(apart)
+
+    def test_batch_without_config_fails_before_any_pool_or_trial(self, monkeypatch, pools):
+        from patrolsim import scenario
+
+        calls = []
+        monkeypatch.setattr(scenario, "run_trial", lambda *a: calls.append(a))
+        with pytest.raises(TypeError, match="config"):
+            run_batch(workers=2)
+        assert pools == [] and calls == []
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected_before_any_trial(self, monkeypatch, workers):
