@@ -3,7 +3,7 @@
 A message enqueued at timestep t-1 reaches the sender's t-1 neighbors at
 timestep t. Each envelope carries the sender's top-s knowledge slice and
 nothing else: report priorities are read from the swarm arrays (see
-`priority`).
+`priority`). `scenario` re-cuts a sender's slice only when its utimes rose.
 """
 
 from dataclasses import dataclass
@@ -32,7 +32,7 @@ def truncate_knowledge(assumed: np.ndarray, utime: np.ndarray, s: int):
     Ties on update time break toward the smaller grid index. When s covers
     all K entries the whole base ships in grid order, unsorted: a merge does
     not depend on slice order. Returns (grid indices, idleness values, update
-    times) copies safe to ship.
+    times) copies safe to ship; the first and third stay valid while `utime` is unchanged.
     """
     idx = kernels.top_s(utime, int(s))
     return idx.copy(), assumed[idx], utime[idx]

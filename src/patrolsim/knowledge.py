@@ -27,8 +27,8 @@ def merge_received(
     utime: np.ndarray,
     inbox: Iterable[MessageEnvelope],
     K: int,
-) -> None:
-    """Fold received slices into the base.
+) -> int:
+    """Fold received slices into the base; returns how many entries it adopted.
 
     Envelopes are processed in inbox order (ascending sender id); a strictly
     newer update time replaces the local entry verbatim. Slices are cut from
@@ -36,7 +36,9 @@ def merge_received(
     range; K is not read, and stays a positional parameter because
     `perfbench/spans.py` hooks this call by its four arguments.
     """
+    adopted = 0
     for env in inbox:
-        kernels.merge_slice(
+        adopted += kernels.merge_slice(
             assumed, utime, env.slice_grids, env.slice_idleness, env.slice_utimes
         )
+    return adopted

@@ -15,7 +15,9 @@ method that reads t from the world clock:
      reset idleness, record own-patrol entries, and re-select targets for
      robots whose temporary grid completed or that recovered at t
   6. `_broadcast`: compute the connectivity graph at t and enqueue each
-     connected robot's top-s knowledge slice for delivery at t+1
+     connected robot's top-s slice for delivery at t+1, re-cut only for a row
+     whose utimes rose since its last cut: utimes never fall, so an unchanged
+     row has the same top s (its idleness values age, and are read each step)
   7. `_sample`: sample instantaneous metrics
 
 All mutation is single-threaded within a trial; trials in a batch are
@@ -225,8 +227,9 @@ class Simulation:
         self.omega = np.zeros(n, dtype=np.int64)
         self.alive = np.ones(n, dtype=bool)
         self.temp = np.full(n, -1, dtype=np.int64)
-        self.need_select = np.zeros(n, dtype=bool)
+        self.need_select = set()  # rows that `_complete` re-selects
         self.fail_rows = scheduled_failures(config)
+        self.patrollers = np.arange(1, n), np.arange(2, n + 1)  # operational rows, their ids
 
         for i in range(1, n):
             self._select_target(i)
@@ -234,6 +237,7 @@ class Simulation:
         self.prev_graph = compute_connectivity(self.pos, self.alive, config.d_c)
         self.sent = np.zeros(n, dtype=bool)  # rows that broadcast at t-1
         self.outbox: Dict[int, MessageEnvelope] = {}
+        self.cuts = [None] * n  # row -> (grids, utimes) of its last slice; None when stale
         self.metrics = metrics.MetricsAccumulator(K, n, config.warmup_t0, record_series)
         self.event_blocks = [np.empty((0, 3), dtype=np.int64)]  # then one per step with visits
 
@@ -268,7 +272,10 @@ class Simulation:
         if t == cfg.recover_at:
             self.alive[self.fail_rows] = True
             self.p[self.fail_rows] = 0.0  # a fresh returner must not hijack reporting
-            self.need_select[self.fail_rows] = True
+            self.need_select.update(self.fail_rows)
+        if t in (cfg.fail_at, cfg.recover_at):
+            rows = np.flatnonzero(self.alive[1:]) + 1
+            self.patrollers = rows, rows + 1
         advance_time(self.world)
         self.assumed += self.alive[:, None]
 
@@ -276,7 +283,8 @@ class Simulation:
         cfg = self.config
         for i in range(cfg.n_robots):
             if self.alive[i] and inboxes[i]:
-                knowledge.merge_received(self.assumed[i], self.utime[i], inboxes[i], cfg.K)
+                if knowledge.merge_received(self.assumed[i], self.utime[i], inboxes[i], cfg.K):
+                    self.cuts[i] = None
         patrolling = self.alive.copy()
         patrolling[0] = False
         self.p, self.omega = update_report_priority(
@@ -302,32 +310,38 @@ class Simulation:
     def _complete(self) -> np.ndarray:
         """Record completions; re-select, in ascending row order, every row in
         `need_select`: completed temporary grids and robots that recovered."""
-        rows = np.flatnonzero(self.alive[1:]) + 1
+        rows, ids = self.patrollers
         events = detect_patrol_completions(
-            self.world, self.grid_map, self.pos[rows], rows + 1, self.config.rho
+            self.world, self.grid_map, self.pos[rows], ids, self.config.rho
         )
         if len(events):
             self.event_blocks.append(events)
             robots, grids = events[:, 1] - 1, events[:, 2]
             knowledge.record_patrol(self.assumed, self.utime, robots, grids, self.world.t)
-            self.need_select[robots[grids == self.temp[robots]]] = True
-        for i in np.flatnonzero(self.need_select).tolist():
+            for i in robots.tolist():
+                self.cuts[i] = None
+            self.need_select.update(robots[grids == self.temp[robots]].tolist())
+        for i in sorted(self.need_select):
             self._select_target(i)
-        self.need_select[:] = False
+        self.need_select.clear()
         return events
 
     def _broadcast(self) -> None:
         graph = compute_connectivity(self.pos, self.alive, self.config.d_c)
         self.sent = graph.any(axis=1)  # the graph only links operational robots
-        self.outbox = {
-            i: MessageEnvelope(*truncate_knowledge(
-                self.assumed[i], self.utime[i], self.config.bandwidth_s))
-            for i in np.flatnonzero(self.sent).tolist()
-        }
+        self.outbox, cuts, s = {}, self.cuts, self.config.bandwidth_s
+        for i in np.flatnonzero(self.sent).tolist():
+            if cuts[i] is None:
+                grids, idleness, utimes = truncate_knowledge(self.assumed[i], self.utime[i], s)
+                cuts[i] = grids, utimes
+            else:
+                grids, utimes = cuts[i]
+                idleness = self.assumed[i][grids]
+            self.outbox[i] = MessageEnvelope(grids, idleness, utimes)
         self.prev_graph = graph
 
     def _sample(self) -> None:
-        n_active = int(self.alive[1:].sum())
+        n_active = len(self.patrollers[0])
         metrics.sample_instantaneous(self.world, self.utime[0], self.metrics, n_active)
 
     def run(self) -> "TrialResult":

@@ -88,9 +88,12 @@ def detect_patrol_completions(
 
     `positions` holds operational patrollers only, and `robot_ids` their
     1-based ids. Several robots on one grid yield several rows but a single
-    reset; no (robot, grid) pair repeats within a step.
+    reset; no (robot, grid) pair repeats within a step, and a step without
+    one writes nothing.
     """
     rows, grids = kernels.completions(positions, grid_map, rho)
+    if not rows.size:
+        return np.empty((0, 3), dtype=np.int64)
     events = np.empty((rows.size, 3), dtype=np.int64)
     events[:, 0] = world.t
     events[:, 1] = robot_ids[rows]

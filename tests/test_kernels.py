@@ -112,3 +112,31 @@ class TestTopS:
             assert got.tolist() == list(range(k))  # each index once, ascending
         else:
             assert got.tolist() == top_s_sorted(utime, s).tolist()
+
+
+def _slice(grids, ivals, tvals):
+    return tuple(np.array(v, dtype=np.int64) for v in (grids, ivals, tvals))
+
+
+class TestMergeSlice:
+    def test_returns_number_adopted(self):
+        assumed = np.array([9, 9, 9, 9], dtype=np.int64)
+        utime = np.array([5, 5, 5, 5], dtype=np.int64)
+        assert kernels.merge_slice(assumed, utime, *_slice([0, 2, 3], [1, 2, 3], [6, 4, 9])) == 2
+        assert assumed.tolist() == [1, 9, 9, 3]
+        assert utime.tolist() == [6, 5, 5, 9]
+
+    def test_nothing_newer_returns_zero_and_writes_nothing(self):
+        assumed = np.array([9, 9, 9], dtype=np.int64)
+        utime = np.array([5, 7, 5], dtype=np.int64)
+        # read-only bases: any write, even through an empty index, raises
+        assumed.setflags(write=False)
+        utime.setflags(write=False)
+        assert kernels.merge_slice(assumed, utime, *_slice([0, 1, 2], [0, 0, 0], [4, 7, 1])) == 0
+        assert kernels.merge_slice(assumed, utime, *_slice([], [], [])) == 0
+
+    def test_equal_update_time_adopts_nothing(self):
+        assumed = np.array([9, 9], dtype=np.int64)
+        utime = np.array([5, 5], dtype=np.int64)
+        assert kernels.merge_slice(assumed, utime, *_slice([1], [0], [5])) == 0
+        assert assumed.tolist() == [9, 9] and utime.tolist() == [5, 5]

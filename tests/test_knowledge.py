@@ -108,6 +108,29 @@ class TestMergeReceived:
         merge_received(assumed, utime, envs, 4)
         assert assumed[1] == 4 and utime[1] == 80
 
+    def test_returns_adoptions_over_the_inbox(self):
+        assumed, utime = new_base(4)
+        utime[:] = 10
+        envs = [_env([0, 1], [3, 3], [11, 9]), _env([0, 2], [1, 1], [12, 20])]
+        assert merge_received(assumed, utime, envs, 4) == 3  # grid 0 counts twice
+        assert assumed.tolist() == [1, 0, 1, 0] and utime.tolist() == [12, 10, 20, 10]
+
+    def test_nothing_newer_returns_zero_and_writes_nothing(self):
+        assumed, utime = new_base(4)
+        utime[:] = 10
+        # read-only bases: any write, even through an empty index, raises
+        assumed.setflags(write=False)
+        utime.setflags(write=False)
+        envs = [_env([0, 1], [3, 3], [10, 2]), _env([], [], []), _env([3], [0], [9])]
+        assert merge_received(assumed, utime, envs, 4) == 0
+        assert merge_received(assumed, utime, [], 4) == 0
+
+    def test_equal_update_time_adopts_nothing(self):
+        assumed, utime = new_base(4)
+        assumed[2], utime[2] = 50, 100
+        assert merge_received(assumed, utime, [_env([2], [7], [100])], 4) == 0
+        assert assumed[2] == 50 and utime[2] == 100
+
     def test_footprint_is_2k_scalars(self):
         assumed, utime = new_base(400)
         assert assumed.size + utime.size == 800
